@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .em import (CheckpointError, EmConfig, NumericError, evaluate_froc, load_checkpoint,
-                 read_metrics_csv, save_checkpoint, train_em, write_metrics_csv)
+                 open_atomic, read_metrics_csv, save_checkpoint, train_em,
+                 write_metrics_csv)
 from .froc import FP_RATES
 from .synthvol import (DatasetError, GenerationError, GeneratorConfig, attach_weak_labels,
                        generate_scan, load_dataset, save_dataset)
@@ -214,7 +215,7 @@ def cmd_eval(checkpoint, dataset, out_dir=None) -> None:
     out = Path(out_dir) if out_dir else Path(checkpoint).parent
     out.mkdir(parents=True, exist_ok=True)
     curve_path = out / (Path(checkpoint).stem + "_froc.csv")
-    with open(curve_path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(curve_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "fp_per_scan", "sensitivity"])
         for point in result.curve:
@@ -245,7 +246,7 @@ def cmd_report(exp: ExperimentConfig) -> None:
     baseline = next((r[2] for r in rows if r[0] == "baseline"), None)
     print(f"{'mode':<18}{'seeds':>6}{'mean froc':>12}{'std':>8}{'vs baseline':>13}")
     summary = out / "summary.csv"
-    with open(summary, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(summary) as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "seeds", "mean_froc", "std_froc", "delta_vs_baseline"])
         for mode, n, mean, std in rows:
@@ -286,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_rep)
     p_rep.add_argument("--seed", type=int, action="append",
                        help="override config seeds (repeatable)")
-    p_rep.add_argument("--mode", choices=MODES, help="override the config mode")
     return parser
 
 

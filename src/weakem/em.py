@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from .froc import Detection, FrocResult
 from .synthvol import LabeledScan, NoduleBox, Volume, WeakLabel, lobe_of
 from .weaklik import (DEFAULT_MU, DEFAULT_SIGMA_FLOOR, HalfGaussianParams, LobeParams,
                       fit_sigma, init_lobe_params, lobe_fit_step, lobe_log_probs,
-                      log_slice_likelihood)
+                      lobe_objective, log_slice_likelihood)
 
 CHECKPOINT_FORMAT = "weakem-checkpoint-v1"
 
@@ -160,31 +162,15 @@ def iou_3d(a: NoduleBox, b: NoduleBox) -> float:
     return inter / union
 
 
-def _conflict_matrix(boxes, nms_iou: float) -> np.ndarray:
-    # pairwise IoU-above-threshold, the same arithmetic as iou_3d one axis
-    # at a time, so decisions match the scalar form exactly
-    centers = np.array([b.center for b in boxes])
-    radii = np.array([b.radius for b in boxes])
-    cubes = np.array([b.diameter ** 3 for b in boxes])
-    inter = np.ones((len(boxes), len(boxes)))
-    for ax in range(3):
-        lo_edge = centers[:, ax] - radii
-        hi_edge = centers[:, ax] + radii
-        lo = np.maximum(lo_edge[:, None], lo_edge[None, :])
-        hi = np.minimum(hi_edge[:, None], hi_edge[None, :])
-        inter *= np.maximum(hi - lo, 0.0)
-    return inter / (cubes[:, None] + cubes[None, :] - inter) > nms_iou
-
-
-def _greedy_keep(order, conflict) -> list[int]:
-    # greedy NMS: row r of conflict holds the boxes order[r] suppresses
-    kept: list[int] = []
-    suppressed = np.zeros(len(order), dtype=bool)
-    for r, idx in enumerate(order):
-        if not suppressed[r]:
-            kept.append(idx)
-            suppressed |= conflict[r]
-    return kept
+def _conflict_matrix(edges, cubes, head: int, rest: np.ndarray, nms_iou: float) -> np.ndarray:
+    # whether box ``head`` overlaps each box of ``rest`` with IoU above
+    # nms_iou; the same per-axis arithmetic as iou_3d, so decisions match the
+    # scalar form exactly
+    lo_edge, hi_edge = edges
+    overlap = np.maximum(np.minimum(hi_edge[head], hi_edge[rest])
+                         - np.maximum(lo_edge[head], lo_edge[rest]), 0.0)
+    inter = overlap[:, 0] * overlap[:, 1] * overlap[:, 2]
+    return inter / (cubes[head] + cubes[rest] - inter) > nms_iou
 
 
 def filter_proposals(proposals, cfg: EmConfig) -> list[Proposal]:
@@ -192,32 +178,27 @@ def filter_proposals(proposals, cfg: EmConfig) -> list[Proposal]:
 
     Proposals are visited in descending logit order (ties by anchor_id) and
     kept only when their IoU with every kept proposal stays at or below
-    ``cfg.nms_iou``. Output keeps that descending order.
+    ``cfg.nms_iou``. Output keeps that descending order. Each kept proposal
+    is tested only against the candidates ranked after it that are still
+    alive, so memory stays linear in the number of proposals.
     """
     alive = sorted((p for p in proposals if p.logit >= cfg.logit_threshold),
                    key=lambda p: (-p.logit, p.anchor_id))
-    if not alive:
-        return []
-    conflict = _conflict_matrix([p.box for p in alive], cfg.nms_iou)
-    return [alive[i] for i in _greedy_keep(range(len(alive)), conflict)]
+    centers = np.array([p.box.center for p in alive], dtype=np.float64).reshape(-1, 3)
+    radii = np.array([p.box.radius for p in alive], dtype=np.float64)[:, None]
+    cubes = np.array([p.box.diameter ** 3 for p in alive], dtype=np.float64)
+    edges = (centers - radii, centers + radii)
+    kept: list[Proposal] = []
+    rest = np.arange(len(alive))
+    while rest.size:
+        head, rest = rest[0], rest[1:]
+        kept.append(alive[head])
+        rest = rest[~_conflict_matrix(edges, cubes, head, rest, cfg.nms_iou)]
+    return kept
 
 
 def _scan_filtered(volume: Volume, params: ModelParams, cfg: EmConfig) -> list[Proposal]:
-    # filter_proposals(propose(...)) with the pairwise overlap matrix cached
-    # on the volume; anchor boxes never move, so the matrix is reusable and
-    # only the threshold-and-sort step depends on the current weights
-    proposals = propose(volume, params.detector, cfg.stride)
-    key = ("conflict", cfg.stride, cfg.nms_iou, params.detector.scales)
-    full = volume._cache.get(key)
-    if full is None:
-        full = _conflict_matrix([p.box for p in proposals], cfg.nms_iou)
-        volume._cache[key] = full
-    alive = sorted((i for i, p in enumerate(proposals) if p.logit >= cfg.logit_threshold),
-                   key=lambda i: (-proposals[i].logit, i))
-    if not alive:
-        return []
-    conflict = full[np.ix_(alive, alive)]
-    return [proposals[i] for i in _greedy_keep(alive, conflict)]
+    return filter_proposals(propose(volume, params.detector, cfg.stride), cfg)
 
 
 def posterior(proposals, weak: WeakLabel, volume: Volume,
@@ -290,22 +271,14 @@ def weak_m_step(volume: Volume, weak_boxes, negatives, params: ModelParams,
 
     ``weak_boxes`` holds (weak label, inferred box) pairs, flattened over
     labels and posterior draws so the supervised loss averages over all of
-    them; ``negatives`` are plain boxes. The detector and the lobe softmax
-    move one step each from the same input params; the slice-noise scale
-    stays frozen. ``lr_scale`` multiplies both learning rates so the caller
-    can anneal the step size over epochs.
+    them; ``negatives`` are plain boxes. This is the one-scan case of the
+    batch M-step that training runs: the detector and the lobe softmax move
+    one step each from the same input params; the slice-noise scale stays
+    frozen. ``lr_scale`` multiplies both learning rates so the caller can
+    anneal the step size over epochs.
     """
-    weak_boxes = list(weak_boxes)
-    negatives = list(negatives)
-    detector = params.detector
-    lobe = params.lobe
-    if weak_boxes or negatives:
-        _, grad = supervised_loss(volume, [b for _, b in weak_boxes], negatives, detector)
-        detector = sgd_step(detector, grad, cfg.lr_detector * lr_scale)
-    if weak_boxes:
-        lobe, _ = lobe_fit_step([(w.lobe, b, volume) for w, b in weak_boxes],
-                                lobe, cfg.lr_lobe * lr_scale)
-    return ModelParams(detector, lobe, params.slice_noise)
+    return _weak_batch_m_step([(volume, list(weak_boxes), list(negatives))], params, cfg,
+                              lr_scale)
 
 
 def q_value(volume: Volume, weak_boxes, negatives, params: ModelParams) -> float:
@@ -371,6 +344,17 @@ def evaluate_froc(scans, params: ModelParams, cfg: EmConfig) -> FrocResult:
 _MAX_HALVINGS = 20
 
 
+def _backtrack(step_to, loss_at, loss0: float, step: float):
+    # halve the step until the candidate's loss does not exceed loss0; after
+    # _MAX_HALVINGS tries the last candidate is taken as it is
+    for _ in range(_MAX_HALVINGS):
+        candidate = step_to(step)
+        if loss_at(candidate) <= loss0:
+            break
+        step /= 2.0
+    return candidate
+
+
 def _supervised_pass(d_full, params: ModelParams, cfg: EmConfig,
                      lr_scale: float = 1.0):
     # one full-batch step per pass: per-scan losses and gradients are
@@ -398,25 +382,17 @@ def _supervised_pass(d_full, params: ModelParams, cfg: EmConfig,
     mean_loss = float(np.mean(losses)) if losses else 0.0
     if grads:
         grad = np.mean(grads, axis=0)
-        step = cfg.lr_detector * lr_scale
-        for _ in range(_MAX_HALVINGS):
-            candidate = sgd_step(detector, grad, step)
-            stepped_loss = float(np.mean([supervised_loss(v, p, n, candidate)[0]
-                                          for v, p, n in mined]))
-            if stepped_loss <= mean_loss:
-                break
-            step /= 2.0
-        detector = candidate
+        detector = _backtrack(
+            lambda step: sgd_step(detector, grad, step),
+            lambda cand: float(np.mean([supervised_loss(v, p, n, cand)[0]
+                                        for v, p, n in mined])),
+            mean_loss, cfg.lr_detector * lr_scale)
     lobe = params.lobe
     if lobe_pairs:
-        step = cfg.lr_lobe
-        nll = lobe_fit_step(lobe_pairs, lobe, step)[1]
-        for _ in range(_MAX_HALVINGS):
-            candidate_lobe = lobe_fit_step(lobe_pairs, lobe, step)[0]
-            if lobe_fit_step(lobe_pairs, candidate_lobe, step)[1] <= nll:
-                break
-            step /= 2.0
-        lobe = candidate_lobe
+        nll, lobe_grad = lobe_objective(lobe_pairs, lobe)
+        lobe = _backtrack(lambda step: LobeParams(lobe.theta + step * lobe_grad),
+                          lambda cand: lobe_objective(lobe_pairs, cand)[0],
+                          nll, cfg.lr_lobe)
     return ModelParams(detector, lobe, params.slice_noise), mean_loss
 
 
@@ -445,12 +421,14 @@ def _weak_batch_m_step(batch, params: ModelParams, cfg: EmConfig, lr_scale: floa
     # one ascent step on the subsample's complete-data objective: per-scan
     # gradients are averaged, because sequential single-scan steps teach
     # "positive near this scan's reported slice, negative far from it" and
-    # random-walk the shared weights scan by scan
+    # random-walk the shared weights scan by scan. Scans with neither
+    # inferred boxes nor negatives add nothing.
     grads = [supervised_loss(volume, [b for _, b in weak_boxes], negatives,
                              params.detector)[1]
-             for volume, weak_boxes, negatives in batch]
-    detector = sgd_step(params.detector, np.mean(grads, axis=0),
-                        cfg.lr_detector * lr_scale)
+             for volume, weak_boxes, negatives in batch if weak_boxes or negatives]
+    detector = params.detector
+    if grads:
+        detector = sgd_step(detector, np.mean(grads, axis=0), cfg.lr_detector * lr_scale)
     pairs = [(w.lobe, b, volume) for volume, weak_boxes, _ in batch
              for w, b in weak_boxes]
     lobe = params.lobe
@@ -513,16 +491,34 @@ def train_em(d_full, d_weak, d_val, cfg: EmConfig, rng=0) -> TrainResult:
                 u, s, weak_boxes, negatives = _weak_scan_estep(scan, params, cfg, rng)
                 used += u
                 skipped += s
-                if weak_boxes or negatives:
-                    batch.append((scan.volume, weak_boxes, negatives))
-            if batch:
-                params = _weak_batch_m_step(batch, params, cfg, scale)
+                batch.append((scan.volume, weak_boxes, negatives))
+            params = _weak_batch_m_step(batch, params, cfg, scale)
         params, mean_loss = _supervised_pass(d_full, params, cfg, scale)
         if not math.isfinite(mean_loss):
             raise NumericError(f"supervised loss became non-finite at epoch {epoch}")
         froc_avg = evaluate_froc(d_val, params, cfg).average if d_val else float("nan")
         history.append(EpochMetrics(epoch, mean_loss, used, skipped, froc_avg))
     return TrainResult(params, history)
+
+
+@contextmanager
+def open_atomic(path):
+    """Open ``path`` for text writing (UTF-8, no newline translation) so that
+    it changes only as a whole: the block writes a temporary file in the
+    same directory, which is flushed to disk and then renamed over ``path``.
+    If the block raises, ``path`` keeps its previous content and the
+    temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def save_checkpoint(path, params: ModelParams, cfg: EmConfig, epoch: int) -> None:
@@ -533,8 +529,8 @@ def save_checkpoint(path, params: ModelParams, cfg: EmConfig, epoch: int) -> Non
         "config": cfg.to_dict(),
         "params": params.to_dict(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path):
@@ -559,7 +555,7 @@ def load_checkpoint(path):
 def write_metrics_csv(path, history) -> None:
     """One row per epoch: epoch, supervised_loss, weak_labels_used,
     weak_labels_skipped, froc."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(METRIC_FIELDS)
         for m in history:

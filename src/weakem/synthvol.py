@@ -350,7 +350,8 @@ def load_dataset(path) -> list[LabeledScan]:
 
     Raises DatasetHeaderError for short or inconsistent headers,
     DatasetVersionError for unknown magic bytes, and DatasetPayloadError
-    for truncated voxel blocks or malformed label lines.
+    for truncated voxel blocks, malformed label lines, or truth boxes
+    centered outside the lung region.
     """
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC):
@@ -385,6 +386,8 @@ def load_dataset(path) -> list[LabeledScan]:
             labels = json.loads(lines[i])
             truth = [NoduleBox(b["x"], b["y"], b["z"], b["d"]) for b in labels["truth"]]
             weak = [WeakLabel(w["lobe"], w["z"]) for w in labels["weak"]]
+            for t in truth:
+                lobe_of(t.center, volume)  # raises for a center outside the lung region
         except (ValueError, KeyError, TypeError) as exc:
             raise DatasetPayloadError(f"scan {i} is malformed: {exc}") from exc
         for w in weak:

@@ -120,15 +120,13 @@ def fit_sigma(pairs, mu: float = DEFAULT_MU,
     return HalfGaussianParams(sigma=max(sigma, sigma_floor), mu=mu)
 
 
-def lobe_fit_step(batch, lp: LobeParams, learning_rate: float):
-    """One gradient-ascent step of the lobe softmax on (lobe, box, volume)
-    triples. Returns (updated params, mean negative log-likelihood of the
-    batch under the input params). Pure, the input params are untouched."""
+def lobe_objective(batch, lp: LobeParams):
+    """Mean negative log-likelihood of (lobe, box, volume) triples under the
+    lobe softmax, and the gradient of the mean log-likelihood with respect
+    to ``lp.theta`` (the ascent direction). Returns (nll, gradient)."""
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be nonempty")
-    if learning_rate <= 0:
-        raise ValueError("learning rate must be positive")
     grad = np.zeros_like(lp.theta)
     nll = 0.0
     inv = 1.0 / len(batch)
@@ -141,4 +139,14 @@ def lobe_fit_step(batch, lp: LobeParams, learning_rate: float):
         resid = -np.exp(logp)
         resid[lobe - 1] += 1.0
         grad += inv * np.outer(resid, feats)
+    return nll, grad
+
+
+def lobe_fit_step(batch, lp: LobeParams, learning_rate: float):
+    """One gradient-ascent step of the lobe softmax on (lobe, box, volume)
+    triples. Returns (updated params, mean negative log-likelihood of the
+    batch under the input params). Pure, the input params are untouched."""
+    if learning_rate <= 0:
+        raise ValueError("learning rate must be positive")
+    nll, grad = lobe_objective(batch, lp)
     return LobeParams(lp.theta + learning_rate * grad), nll

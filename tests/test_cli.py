@@ -9,7 +9,7 @@ from weakem.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, SPLIT_FIL
                         main)
 from weakem.detector import DetectorParams, N_FEATURES
 from weakem.em import EmConfig, ModelParams, NumericError, read_metrics_csv, save_checkpoint
-from weakem.synthvol import load_dataset
+from weakem.synthvol import load_dataset, save_dataset
 from weakem.weaklik import HalfGaussianParams, init_lobe_params
 
 SMOKE = {
@@ -122,6 +122,22 @@ class TestTrain:
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    def test_truth_box_outside_the_lung_is_a_data_error(self, tmp_path, capsys):
+        from dataclasses import replace
+        from pathlib import Path
+        cfg = write_config(tmp_path / "exp.json", SMOKE)
+        out = tmp_path / "results"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        path = Path(out) / SPLIT_FILES["train_full"]
+        scans = load_dataset(path)
+        scans[0].truth[0] = replace(scans[0].truth[0], x=0.5)
+        save_dataset(scans, path)
+        capsys.readouterr()
+        code = main(["train", "--config", cfg, "--mode", "baseline", "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "outside the lung region" in err
+
     def test_numeric_failure_exit_code(self, smoke_run, monkeypatch, capsys):
         cfg, out = smoke_run
 
@@ -218,6 +234,14 @@ class TestReport:
         lines = summary.read_text().strip().splitlines()
         assert lines[0] == "mode,seeds,mean_froc,std_froc,delta_vs_baseline"
         assert any(ln.startswith("baseline,1,") for ln in lines)
+
+    def test_mode_option_is_a_usage_error(self, smoke_run, capsys):
+        # report summarises every mode on disk; it has no --mode to narrow it
+        cfg, out = smoke_run
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--config", cfg, "--out", out, "--mode", "deepem-map"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     def test_no_runs_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.json", SMOKE)

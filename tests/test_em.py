@@ -8,15 +8,16 @@ import pytest
 
 from weakem.detector import (DetectorParams, N_FEATURES, Proposal, init_detector,
                              propose, sigmoid)
-from weakem.em import (EmConfig, ModelParams, NoProposalsError, Posterior, evaluate_froc,
+from weakem.em import (EmConfig, ModelParams, NoProposalsError, Posterior,
+                       _supervised_pass, _weak_batch_m_step, evaluate_froc,
                        filter_proposals, hard_negatives, infer_map, infer_sampling,
                        initialize_params, iou_3d, load_checkpoint, posterior, q_value,
                        read_metrics_csv, save_checkpoint, scan_detections, train_em,
                        weak_m_step, write_metrics_csv)
 from weakem.synthvol import (GeneratorConfig, NoduleBox, Volume, WeakLabel,
-                             attach_weak_labels, generate_scan)
+                             attach_weak_labels, generate_scan, lobe_of)
 from weakem.weaklik import (HalfGaussianParams, LobeParams, init_lobe_params,
-                            lobe_likelihood, slice_likelihood)
+                            lobe_likelihood, lobe_objective, slice_likelihood)
 
 
 def box(x, y, z, d=6.0):
@@ -133,10 +134,9 @@ class TestFilterProposals:
 
 
 class TestScanDetections:
-    def test_matches_plain_composition_as_weights_move(self):
-        # scan_detections reuses a pairwise-overlap matrix cached on the
-        # volume; repeated calls with different weights must stay identical
-        # to filtering freshly scored proposals
+    def test_matches_quadratic_oracle_as_weights_move(self):
+        # the whole anchor grid of a generated scan, rescored under several
+        # weight vectors, against the pairwise iou_3d oracle
         cfg = EmConfig()
         scan = generate_scan(11, GeneratorConfig())
         rng = np.random.default_rng(6)
@@ -145,10 +145,29 @@ class TestScanDetections:
             params = ModelParams(DetectorParams(weights, (5.0, 8.0)),
                                  init_lobe_params(), HalfGaussianParams(1.5, 1.63))
             got = scan_detections(scan.volume, params, cfg, scan_id=3)
-            kept = filter_proposals(propose(scan.volume, params.detector, cfg.stride),
-                                    cfg)
+            kept = nms_oracle(propose(scan.volume, params.detector, cfg.stride), cfg)
+            assert len(kept) > 1
             assert [(d.scan_id, d.box, d.score) for d in got] == \
                    [(3, p.box, p.probability) for p in kept]
+
+    def test_no_quadratic_cache_at_64(self):
+        # memory per scanned volume must stay linear in the anchor count
+        cfg = EmConfig()
+        scan = generate_scan(12, GeneratorConfig(dims=(64, 64, 64)))
+        params = uniform_model()
+        n_anchors = len(propose(scan.volume, params.detector, cfg.stride))
+        scan_detections(scan.volume, params, cfg)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+
+        sizes = [a.size for v in scan.volume._cache.values() for a in arrays(v)]
+        assert sizes
+        assert max(sizes) < n_anchors ** 2
 
 
 def naive_posterior(proposals, weak, volume, params):
@@ -354,6 +373,38 @@ class TestWeakMStep:
         else:
             pytest.fail("no step size within 20 halvings kept Q nondecreasing")
 
+    def test_empty_entries_add_nothing(self):
+        # train_em hands every E-step scan to the batch step, including scans
+        # with neither inferred boxes nor negatives
+        scan = make_dataset(1, seed0=43, weak=True)[0]
+        cfg = EmConfig()
+        model = initialize_params([scan], cfg)
+        weak = scan.weak[0]
+        entry = (scan.volume, [(weak, box(11, 13, 11, 5.0))], [box(25, 25, 25, 5.0)])
+        empty = (scan.volume, [], [])
+        alone = _weak_batch_m_step([entry], model, cfg, 0.5)
+        mixed = _weak_batch_m_step([empty, entry, empty], model, cfg, 0.5)
+        np.testing.assert_array_equal(alone.detector.weights, mixed.detector.weights)
+        np.testing.assert_array_equal(alone.lobe.theta, mixed.lobe.theta)
+        idle = _weak_batch_m_step([empty], model, cfg, 0.5)
+        np.testing.assert_array_equal(idle.detector.weights, model.detector.weights)
+        np.testing.assert_array_equal(idle.lobe.theta, model.lobe.theta)
+
+
+class TestSupervisedPass:
+    def test_huge_lobe_step_never_raises_truth_nll(self):
+        # the accepted lobe step is backtracked until the NLL of the
+        # (true lobe, truth box) pairs does not rise
+        d_full = make_dataset(3, seed0=45, weak=True)
+        cfg = EmConfig(lr_lobe=1e4)
+        pairs = [(lobe_of(t.center, s.volume), t, s.volume) for s in d_full for t in s.truth]
+        model = initialize_params(d_full, cfg)
+        for _ in range(3):
+            stepped, _ = _supervised_pass(d_full, model, cfg)
+            assert not np.array_equal(stepped.lobe.theta, model.lobe.theta)
+            assert lobe_objective(pairs, stepped.lobe)[0] <= lobe_objective(pairs, model.lobe)[0]
+            model = stepped
+
 
 class TestTrainEm:
     def small_world(self):
@@ -435,6 +486,38 @@ class TestCheckpointAndMetrics:
         assert again == history
         header = path.read_text().splitlines()[0]
         assert header == "epoch,supervised_loss,weak_labels_used,weak_labels_skipped,froc"
+
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path):
+        from weakem.em import EpochMetrics
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, [EpochMetrics(1, 0.5, 3, 1, 0.625)])
+        before = path.read_bytes()
+        # the second row raises after the header and first row are written
+        with pytest.raises(AttributeError):
+            write_metrics_csv(path, [EpochMetrics(2, 0.25, 4, 0, 0.75), None])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        scans = make_dataset(1, seed0=81, weak=True)
+        cfg = EmConfig()
+        params = initialize_params(scans, cfg)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, params, cfg, epoch=1)
+        before = path.read_bytes()
+
+        def interrupted(fd):
+            raise OSError("disk went away")
+
+        monkeypatch.setattr("weakem.em.os.fsync", interrupted)
+        with pytest.raises(OSError):
+            save_checkpoint(path, params, cfg, epoch=2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+        monkeypatch.undo()
+        save_checkpoint(path, params, cfg, epoch=2)
+        assert load_checkpoint(path)[2] == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
 
 class TestEvaluateFroc:

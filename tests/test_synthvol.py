@@ -248,6 +248,27 @@ class TestDatasetContainer:
         with pytest.raises(DatasetPayloadError):
             load_dataset(path)
 
+    def test_truth_center_on_the_lung_edge_loads(self, tmp_path):
+        scan = generate_scan(0, GeneratorConfig())
+        lo, hi = scan.volume.lung_lo, scan.volume.lung_hi
+        corners = [NoduleBox(*(float(h - 1) for h in hi), 6.0),
+                   NoduleBox(*(float(l) for l in lo), 6.0)]
+        path = tmp_path / "edge.wem"
+        save_dataset([LabeledScan(scan.volume, corners, [])], path)
+        assert load_dataset(path)[0].truth == corners
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_truth_center_outside_the_lung_is_a_payload_error(self, tmp_path, axis):
+        scan = generate_scan(0, GeneratorConfig())
+        lo, hi = scan.volume.lung_lo, scan.volume.lung_hi
+        for bad in (math.nextafter(hi[axis] - 1.0, math.inf), lo[axis] - 0.5):
+            center = [float(l) for l in lo]
+            center[axis] = bad
+            path = tmp_path / "outside.wem"
+            save_dataset([LabeledScan(scan.volume, [NoduleBox(*center, 6.0)], [])], path)
+            with pytest.raises(DatasetPayloadError, match="outside the lung region"):
+                load_dataset(path)
+
     def test_empty_dataset_is_refused(self, tmp_path):
         with pytest.raises(ValueError):
             save_dataset([], tmp_path / "none.wem")

@@ -8,7 +8,7 @@ import pytest
 from weakem.synthvol import NoduleBox, Volume, lobe_of, weaken
 from weakem.weaklik import (HalfGaussianParams, LobeParams, fit_sigma, init_lobe_params,
                             lobe_feature, lobe_fit_step, lobe_likelihood, lobe_log_probs,
-                            log_slice_likelihood, slice_likelihood)
+                            lobe_objective, log_slice_likelihood, slice_likelihood)
 
 
 def flat_volume(shape=(32, 32, 32)):
@@ -118,6 +118,16 @@ class TestLobeFitStep:
             c = [float(rng.uniform(l, h - 1)) for l, h in zip(vol.lung_lo, vol.lung_hi)]
             batch.append((lobe_of(c, vol), box_at(*c), vol))
         return batch
+
+    def test_step_is_theta_plus_lr_times_objective_gradient(self):
+        batch = self.make_batch()
+        rng = np.random.default_rng(4)
+        lp = LobeParams(rng.normal(scale=0.5, size=(6, 4)))
+        nll, grad = lobe_objective(batch, lp)
+        for lr in (0.3, 2.0, 1e4):
+            stepped, stepped_nll = lobe_fit_step(batch, lp, lr)
+            assert np.array_equal(stepped.theta, lp.theta + lr * grad)
+            assert stepped_nll == nll
 
     def test_gradient_matches_central_differences(self):
         batch = self.make_batch()
