@@ -21,7 +21,7 @@ from .em import (CheckpointError, EmConfig, NumericError, evaluate_froc, load_ch
                  write_metrics_csv)
 from .froc import FP_RATES
 from .synthvol import (DatasetError, GenerationError, GeneratorConfig, attach_weak_labels,
-                       generate_scan, load_dataset, save_dataset)
+                       check_container_capacity, generate_scan, load_dataset, save_dataset)
 
 MODES = ("baseline", "deepem-map", "deepem-sampling")
 
@@ -62,6 +62,11 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if min(self.n_full, self.n_weak, self.n_valid) < 0:
             raise ConfigError("split sizes must be nonnegative")
+        try:
+            check_container_capacity(self.generator.dims,
+                                     max(self.n_full, self.n_weak, self.n_valid))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
         return {

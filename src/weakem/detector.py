@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import maximum_filter
@@ -123,13 +124,10 @@ def extract_features(volume: Volume, box: NoduleBox) -> np.ndarray:
     Components: mean, max, and std of intensity over voxel centers inside
     the cube; ring contrast (inside mean minus the mean over the side-2d
     shell); center coordinates normalized by the grid shape; log diameter.
-    Purely a function of (volume, box); memoized per volume, so treat the
-    returned vector as read-only.
+    Purely a function of (volume, box). Computed afresh on every call from
+    the volume's cached summed-volume tables; anchor boxes have these
+    features precomputed in the anchor grid.
     """
-    memo_key = ("feat", box.x, box.y, box.z, box.diameter)
-    cached = volume._cache.get(memo_key)
-    if cached is not None:
-        return cached
     shape = volume.shape
     (x0, x1), (y0, y1), (z0, z1) = _axis_bounds(box.center, box.radius, shape)
     if x0 >= x1 or y0 >= y1 or z0 >= z1:
@@ -146,7 +144,7 @@ def extract_features(volume: Volume, box: NoduleBox) -> np.ndarray:
     s_out = _window_sum(sat, X0, X1, Y0, Y1, Z0, Z1)
     n_shell = n_out - n_in
     shell_mean = (s_out - s_in) / n_shell if n_shell > 0 else mean_in
-    feats = np.array([
+    return np.array([
         mean_in,
         max_in,
         std_in,
@@ -156,8 +154,6 @@ def extract_features(volume: Volume, box: NoduleBox) -> np.ndarray:
         box.z / shape[2],
         math.log(box.diameter),
     ], dtype=np.float64)
-    volume._cache[memo_key] = feats
-    return feats
 
 
 def anchor_points(volume: Volume, stride: int) -> np.ndarray:
@@ -170,22 +166,13 @@ def anchor_points(volume: Volume, stride: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
 
 
-def _max_filtered(volume: Volume, size: int) -> np.ndarray:
-    key = ("maxf", size)
-    out = volume._cache.get(key)
-    if out is None:
-        out = maximum_filter(volume.voxels, size=size, mode="constant", cval=-np.inf)
-        volume._cache[key] = out
-    return out
-
-
-def _batch_features(volume: Volume, pts: np.ndarray, scale: float) -> np.ndarray:
-    # same statistics as extract_features, for all integer centers at one scale
+def _batch_features(volume: Volume, pts: np.ndarray, scale: float, out: np.ndarray) -> None:
+    # same statistics as extract_features, for all integer centers at one
+    # scale, written into the (n points, N_FEATURES) array ``out``
     shape = volume.shape
     sat, sat2 = _tables(volume)
     a_in = int(math.floor(scale / 2.0))
     a_out = int(math.floor(scale))
-    feats = np.empty((len(pts), N_FEATURES), dtype=np.float64)
 
     def sums(table, reach):
         lo = np.clip(pts - reach, 0, None)
@@ -198,52 +185,64 @@ def _batch_features(volume: Volume, pts: np.ndarray, scale: float) -> np.ndarray
     _, q_in = sums(sat2, a_in)
     n_out, s_out = sums(sat, a_out)
     mean_in = s_in / n_in
-    feats[:, 0] = mean_in
-    feats[:, 1] = _max_filtered(volume, 2 * a_in + 1)[pts[:, 0], pts[:, 1], pts[:, 2]]
-    feats[:, 2] = np.sqrt(np.maximum(q_in / n_in - mean_in * mean_in, 0.0))
+    window_max = maximum_filter(volume.voxels, size=2 * a_in + 1, mode="constant",
+                                cval=-np.inf)
+    out[:, 0] = mean_in
+    out[:, 1] = window_max[pts[:, 0], pts[:, 1], pts[:, 2]]
+    out[:, 2] = np.sqrt(np.maximum(q_in / n_in - mean_in * mean_in, 0.0))
     n_shell = n_out - n_in
     shell_mean = np.where(n_shell > 0, (s_out - s_in) / np.maximum(n_shell, 1), mean_in)
-    feats[:, 3] = mean_in - shell_mean
-    feats[:, 4] = pts[:, 0] / shape[0]
-    feats[:, 5] = pts[:, 1] / shape[1]
-    feats[:, 6] = pts[:, 2] / shape[2]
-    feats[:, 7] = math.log(scale)
-    return feats
+    out[:, 3] = mean_in - shell_mean
+    out[:, 4] = pts[:, 0] / shape[0]
+    out[:, 5] = pts[:, 1] / shape[1]
+    out[:, 6] = pts[:, 2] / shape[2]
+    out[:, 7] = math.log(scale)
 
 
-def _anchor_grid(volume: Volume, stride: int, scales):
-    # anchor centers and their per-scale feature matrices; params-independent,
-    # so computed once per (volume, stride, scales) and cached on the volume
+class AnchorGrid(NamedTuple):
+    """The anchor boxes of one (volume, stride, scales). Anchor ``i`` is grid
+    point ``i // n_scales`` at scale ``i % n_scales``; ``centers`` (A, 3) and
+    ``diameters`` (A,) are indexed by anchor_id, ``features`` by (scale,
+    point), so each scale's (points, N_FEATURES) matrix is contiguous."""
+
+    centers: np.ndarray
+    diameters: np.ndarray
+    features: np.ndarray
+
+    def rows(self, ids: np.ndarray):
+        """Feature rows and scale indices of the given anchor ids."""
+        scale_ids = ids % len(self.features)
+        return self.features[scale_ids, ids // len(self.features)], scale_ids
+
+    def box(self, anchor_id: int) -> NoduleBox:
+        return NoduleBox(*self.centers[anchor_id].tolist(),
+                         float(self.diameters[anchor_id]))
+
+
+def _anchor_grid(volume: Volume, stride: int, scales) -> AnchorGrid:
+    # params-independent, so computed once per (volume, stride, scales) and
+    # cached on the volume
     key = ("grid", stride, scales)
-    out = volume._cache.get(key)
-    if out is None:
+    grid = volume._cache.get(key)
+    if grid is None:
         pts = anchor_points(volume, stride)
-        feats = tuple(_batch_features(volume, pts, s) for s in scales)
-        out = (pts, feats)
-        volume._cache[key] = out
-    return out
+        feats = np.empty((len(scales), len(pts), N_FEATURES), dtype=np.float64)
+        for j, scale in enumerate(scales):
+            _batch_features(volume, pts, scale, feats[j])
+        grid = AnchorGrid(np.repeat(pts, len(scales), axis=0).astype(np.float64),
+                          np.tile(np.asarray(scales, dtype=np.float64), len(pts)), feats)
+        volume._cache[key] = grid
+    return grid
 
 
 def grid_logits(volume: Volume, params: DetectorParams, stride: int) -> np.ndarray:
     """Logits of every anchor box as an (n grid points, n scales) array,
     rows in ``anchor_points`` order; row i scale j is anchor_id i*n_scales+j."""
-    pts, feats = _anchor_grid(volume, stride, params.scales)
-    logits = np.empty((len(pts), len(params.scales)), dtype=np.float64)
+    feats = _anchor_grid(volume, stride, params.scales).features
+    logits = np.empty((feats.shape[1], len(params.scales)), dtype=np.float64)
     for j in range(len(params.scales)):
         logits[:, j] = feats[j] @ params.weights[:N_FEATURES] + params.weights[N_FEATURES + j]
     return logits
-
-
-def _anchor_boxes(volume: Volume, stride: int, scales) -> list[NoduleBox]:
-    # the anchor grid as box objects in anchor_id order, cached per volume
-    key = ("boxes", stride, scales)
-    boxes = volume._cache.get(key)
-    if boxes is None:
-        pts, _ = _anchor_grid(volume, stride, scales)
-        boxes = [NoduleBox(float(px), float(py), float(pz), scale)
-                 for px, py, pz in pts for scale in scales]
-        volume._cache[key] = boxes
-    return boxes
 
 
 def propose(volume: Volume, params: DetectorParams, stride: int) -> list[Proposal]:
@@ -252,10 +251,9 @@ def propose(volume: Volume, params: DetectorParams, stride: int) -> list[Proposa
     Output order is deterministic, grid points in ascending (x, y, z) order
     with scales innermost, and ``anchor_id`` is the rank in that order.
     """
-    boxes = _anchor_boxes(volume, stride, params.scales)
+    grid = _anchor_grid(volume, stride, params.scales)
     logits = grid_logits(volume, params, stride).ravel()
-    return [Proposal(box, float(logit), i)
-            for i, (box, logit) in enumerate(zip(boxes, logits))]
+    return [Proposal(grid.box(i), float(logit), i) for i, logit in enumerate(logits)]
 
 
 def _scale_index(scales, diameter: float) -> int:
@@ -268,16 +266,22 @@ def _scale_index(scales, diameter: float) -> int:
     return best
 
 
-def box_logit(volume: Volume, box: NoduleBox, params: DetectorParams):
-    """Logit of one box plus the pieces the gradient needs.
-
-    Returns (logit, features, scale index). Boxes that are not anchor boxes
-    use the bias of the scale nearest their diameter.
-    """
-    feats = extract_features(volume, box)
-    j = _scale_index(params.scales, box.diameter)
-    logit = float(feats @ params.weights[:N_FEATURES] + params.weights[N_FEATURES + j])
-    return logit, feats, j
+def _cross_entropy(logits, feats, scale_ids, n_pos: int, weights):
+    # the supervised_loss objective of scored rows whose first n_pos are
+    # positives, and its gradient in weights
+    n_neg = len(logits) - n_pos
+    if not n_pos and not n_neg:
+        raise ValueError("need at least one positive or negative box")
+    pos, neg = logits[:n_pos], logits[n_pos:]
+    slopes = np.concatenate([(sigmoid(pos) - 1.0) / max(n_pos, 1),
+                             sigmoid(neg) / max(n_neg, 1)])
+    loss = 0.0
+    if n_pos:
+        loss -= float(np.mean(log_sigmoid(pos)))
+    if n_neg:
+        loss -= float(np.mean(log1m_sigmoid(neg)))
+    bias = np.bincount(scale_ids, weights=slopes, minlength=len(weights) - N_FEATURES)
+    return loss, np.concatenate([slopes @ feats, bias])
 
 
 def supervised_loss(volume: Volume, positives, negatives, params: DetectorParams):
@@ -286,31 +290,28 @@ def supervised_loss(volume: Volume, positives, negatives, params: DetectorParams
     loss = -[ mean over positives of log sigmoid(logit)
             + mean over negatives of log(1 - sigmoid(logit)) ]
 
-    Either list may be empty, but not both. Returns (loss, gradient) where
-    the gradient is taken in ``params.weights``.
+    Either list may be empty, but not both. Boxes need not be anchor boxes:
+    each is scored from ``extract_features`` with the bias of the scale
+    nearest its diameter. Returns (loss, gradient) where the gradient is
+    taken in ``params.weights``.
     """
-    positives, negatives = list(positives), list(negatives)
-    if not positives and not negatives:
-        raise ValueError("need at least one positive or negative box")
-    grad = np.zeros_like(params.weights)
-    loss = 0.0
-    if positives:
-        inv = 1.0 / len(positives)
-        for box in positives:
-            logit, feats, j = box_logit(volume, box, params)
-            loss -= float(log_sigmoid(logit)) * inv
-            slope = (sigmoid(logit) - 1.0) * inv
-            grad[:N_FEATURES] += slope * feats
-            grad[N_FEATURES + j] += slope
-    if negatives:
-        inv = 1.0 / len(negatives)
-        for box in negatives:
-            logit, feats, j = box_logit(volume, box, params)
-            loss -= float(log1m_sigmoid(logit)) * inv
-            slope = sigmoid(logit) * inv
-            grad[:N_FEATURES] += slope * feats
-            grad[N_FEATURES + j] += slope
-    return float(loss), grad
+    positives = list(positives)
+    boxes = positives + list(negatives)
+    feats = np.array([extract_features(volume, b) for b in boxes]).reshape(-1, N_FEATURES)
+    scale_ids = np.array([_scale_index(params.scales, b.diameter) for b in boxes],
+                         dtype=np.int64)
+    logits = feats @ params.weights[:N_FEATURES] + params.weights[N_FEATURES:][scale_ids]
+    return _cross_entropy(logits, feats, scale_ids, len(positives), params.weights)
+
+
+def anchor_loss(volume: Volume, positives, negatives, params: DetectorParams, stride: int):
+    """``supervised_loss`` of anchor boxes given by anchor_id: one gather of
+    their logits from ``grid_logits`` and their rows of the cached anchor
+    features. Returns (loss, gradient)."""
+    ids = np.concatenate([positives, negatives]).astype(np.int64)
+    feats, scale_ids = _anchor_grid(volume, stride, params.scales).rows(ids)
+    logits = grid_logits(volume, params, stride).ravel()[ids]
+    return _cross_entropy(logits, feats, scale_ids, len(positives), params.weights)
 
 
 def sgd_step(params: DetectorParams, gradient, learning_rate: float) -> DetectorParams:
@@ -325,71 +326,39 @@ def sgd_step(params: DetectorParams, gradient, learning_rate: float) -> Detector
     return DetectorParams(params.weights - learning_rate * grad, params.scales)
 
 
-def _truth_key(truths) -> tuple:
-    return tuple((t.x, t.y, t.z, t.diameter) for t in truths)
-
-
-def match_positive_anchors(volume: Volume, truths, scales, stride: int) -> list[NoduleBox]:
-    """Anchor boxes labeled positive for supervised training.
-
-    A grid point matches a truth when it lies within the truth radius of its
-    center; matched points use the scale nearest the truth diameter. A truth
-    with no in-radius grid point falls back to its single nearest point, so
-    every truth contributes at least one positive. Params-independent, so
-    the result is cached per volume.
-    """
-    scales = tuple(float(s) for s in scales)
-    memo_key = ("positives", stride, scales, _truth_key(truths))
-    cached = volume._cache.get(memo_key)
-    if cached is not None:
-        return list(cached)
-    pts = anchor_points(volume, stride)
-    out: list[NoduleBox] = []
-    seen = set()
-    for t in truths:
-        d2 = ((pts - np.asarray(t.center)) ** 2).sum(axis=1)
-        idx = np.flatnonzero(d2 <= t.radius ** 2)
-        if idx.size == 0:
-            idx = np.array([int(np.argmin(d2))])
-        scale = scales[_scale_index(scales, t.diameter)]
-        for i in idx:
-            key = (int(pts[i, 0]), int(pts[i, 1]), int(pts[i, 2]), scale)
-            if key not in seen:
-                seen.add(key)
-                out.append(NoduleBox(float(pts[i, 0]), float(pts[i, 1]), float(pts[i, 2]), scale))
-    volume._cache[memo_key] = out
-    return list(out)
-
-
-def _non_positive_ids(volume: Volume, truths, stride: int, n_scales: int) -> np.ndarray:
-    # anchor_ids whose grid point lies outside every truth radius, ascending;
-    # geometry only, cached per volume
-    memo_key = ("non-positive", stride, n_scales, _truth_key(truths))
-    cached = volume._cache.get(memo_key)
-    if cached is None:
+def _anchor_labels(volume: Volume, truths, stride: int, scales):
+    # (positive ids truth by truth, each once; ascending ids whose grid point
+    # is outside every truth radius), as supervised_examples describes;
+    # geometry only, so cached per volume
+    key = ("labels", stride, scales, tuple((t.x, t.y, t.z, t.diameter) for t in truths))
+    labels = volume._cache.get(key)
+    if labels is None:
         pts = anchor_points(volume, stride)
+        positives: dict[int, None] = {}
         outside = np.ones(len(pts), dtype=bool)
         for t in truths:
             d2 = ((pts - np.asarray(t.center)) ** 2).sum(axis=1)
-            outside &= d2 > t.radius ** 2
-        cached = np.flatnonzero(np.repeat(outside, n_scales) if n_scales > 1
-                                else outside).astype(np.int64)
-        volume._cache[memo_key] = cached
-    return cached
+            inside = d2 <= t.radius ** 2
+            outside &= ~inside
+            idx = np.flatnonzero(inside) if inside.any() else [np.argmin(d2)]
+            j = _scale_index(scales, t.diameter)
+            positives.update(dict.fromkeys(int(i) * len(scales) + j for i in idx))
+        labels = (np.fromiter(positives, dtype=np.int64, count=len(positives)),
+                  np.flatnonzero(np.repeat(outside, len(scales))))
+        volume._cache[key] = labels
+    return labels
 
 
 def supervised_examples(volume: Volume, truths, params: DetectorParams, stride: int):
-    """Training boxes for one fully labeled scan.
+    """Training anchors of one fully labeled scan: (positive, negative) ids.
 
-    Positives come from ``match_positive_anchors``. Negatives are the
-    highest-logit anchors whose grid point is outside every truth radius,
-    capped at twice the positive count and at least 2; ties in logit break
-    toward the lower anchor_id.
+    Grid points within a truth radius of its center are positive at the
+    scale nearest the truth diameter; a truth with no such point falls back
+    to its nearest grid point. Negatives are the highest-logit anchors whose
+    grid point is outside every truth radius, capped at twice the positive
+    count and at least 2; ties in logit break toward the lower anchor_id.
     """
-    positives = match_positive_anchors(volume, truths, params.scales, stride)
-    boxes = _anchor_boxes(volume, stride, params.scales)
+    positives, candidates = _anchor_labels(volume, truths, stride, params.scales)
     flat_logits = grid_logits(volume, params, stride).ravel()
-    ids = _non_positive_ids(volume, truths, stride, len(params.scales))
     k = max(2, 2 * len(positives))
-    order = ids[np.lexsort((ids, -flat_logits[ids]))][:k]
-    return positives, [boxes[i] for i in order]
+    return positives, candidates[np.lexsort((candidates, -flat_logits[candidates]))][:k]

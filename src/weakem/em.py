@@ -20,14 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import froc as froc_mod
-from .detector import (DetectorParams, Proposal, box_logit, init_detector, log1m_sigmoid,
-                       log_sigmoid, propose, sgd_step, supervised_examples,
-                       supervised_loss)
+# propose is not called here (see _scan_filtered) but stays importable as em.propose
+from .detector import (DetectorParams, Proposal, _anchor_grid, anchor_loss,  # noqa: F401
+                       grid_logits, init_detector, log_sigmoid, propose, sgd_step,
+                       supervised_examples, supervised_loss)
 from .froc import Detection, FrocResult
 from .synthvol import LabeledScan, NoduleBox, Volume, WeakLabel, lobe_of
 from .weaklik import (DEFAULT_MU, DEFAULT_SIGMA_FLOOR, HalfGaussianParams, LobeParams,
-                      fit_sigma, init_lobe_params, lobe_fit_step, lobe_log_probs,
-                      lobe_objective, log_slice_likelihood)
+                      fit_sigma, init_lobe_params, lobe_fit_step, lobe_objective,
+                      weak_log_likelihood)
 
 CHECKPOINT_FORMAT = "weakem-checkpoint-v1"
 
@@ -173,32 +174,47 @@ def _conflict_matrix(edges, cubes, head: int, rest: np.ndarray, nms_iou: float) 
     return inter / (cubes[head] + cubes[rest] - inter) > nms_iou
 
 
+def _greedy_nms(centers, diameters, logits, ids, cfg: EmConfig) -> list[int]:
+    # rows of boxes (centers, diameters) kept by the logit threshold and greedy
+    # NMS, by descending logit, ties by ``ids``; each kept box is tested only
+    # against the live candidates after it. Cubes use Python's power, as iou_3d.
+    alive = np.flatnonzero(logits >= cfg.logit_threshold)
+    rest = alive[np.lexsort((ids[alive], -logits[alive]))]
+    radii = diameters[:, None] / 2.0
+    edges = (centers - radii, centers + radii)
+    sizes, which = np.unique(diameters, return_inverse=True)
+    cubes = np.array([d ** 3 for d in sizes.tolist()], dtype=np.float64)[which]
+    kept = []
+    while rest.size:
+        head, rest = rest[0], rest[1:]
+        kept.append(int(head))
+        rest = rest[~_conflict_matrix(edges, cubes, head, rest, cfg.nms_iou)]
+    return kept
+
+
 def filter_proposals(proposals, cfg: EmConfig) -> list[Proposal]:
     """Drop proposals below the logit threshold, then greedy NMS.
 
     Proposals are visited in descending logit order (ties by anchor_id) and
     kept only when their IoU with every kept proposal stays at or below
-    ``cfg.nms_iou``. Output keeps that descending order. Each kept proposal
-    is tested only against the candidates ranked after it that are still
-    alive, so memory stays linear in the number of proposals.
+    ``cfg.nms_iou``. Output keeps that descending order.
     """
-    alive = sorted((p for p in proposals if p.logit >= cfg.logit_threshold),
-                   key=lambda p: (-p.logit, p.anchor_id))
-    centers = np.array([p.box.center for p in alive], dtype=np.float64).reshape(-1, 3)
-    radii = np.array([p.box.radius for p in alive], dtype=np.float64)[:, None]
-    cubes = np.array([p.box.diameter ** 3 for p in alive], dtype=np.float64)
-    edges = (centers - radii, centers + radii)
-    kept: list[Proposal] = []
-    rest = np.arange(len(alive))
-    while rest.size:
-        head, rest = rest[0], rest[1:]
-        kept.append(alive[head])
-        rest = rest[~_conflict_matrix(edges, cubes, head, rest, cfg.nms_iou)]
-    return kept
+    proposals = list(proposals)
+    kept = _greedy_nms(
+        np.array([p.box.center for p in proposals], dtype=np.float64).reshape(-1, 3),
+        np.array([p.box.diameter for p in proposals], dtype=np.float64),
+        np.array([p.logit for p in proposals], dtype=np.float64),
+        np.array([p.anchor_id for p in proposals], dtype=np.int64), cfg)
+    return [proposals[i] for i in kept]
 
 
 def _scan_filtered(volume: Volume, params: ModelParams, cfg: EmConfig) -> list[Proposal]:
-    return filter_proposals(propose(volume, params.detector, cfg.stride), cfg)
+    # filter_proposals(propose(...)) from the cached grid arrays: only kept
+    # anchors become Proposals
+    grid = _anchor_grid(volume, cfg.stride, params.detector.scales)
+    logits = grid_logits(volume, params.detector, cfg.stride).ravel()
+    kept = _greedy_nms(grid.centers, grid.diameters, logits, np.arange(len(logits)), cfg)
+    return [Proposal(grid.box(i), float(logits[i]), i) for i in kept]
 
 
 def posterior(proposals, weak: WeakLabel, volume: Volume,
@@ -212,11 +228,9 @@ def posterior(proposals, weak: WeakLabel, volume: Volume,
     proposals = list(proposals)
     if not proposals:
         raise NoProposalsError("no surviving proposals for this weak label")
-    logw = np.empty(len(proposals))
-    for i, p in enumerate(proposals):
-        logw[i] = (float(log_sigmoid(p.logit))
-                   + log_slice_likelihood(weak.z, p.box, params.slice_noise)
-                   + float(lobe_log_probs(p.box, volume, params.lobe)[weak.lobe - 1]))
+    logw = (log_sigmoid(np.array([p.logit for p in proposals], dtype=np.float64))
+            + weak_log_likelihood(weak.z, weak.lobe, [p.box.center for p in proposals],
+                                  volume, params.slice_noise, params.lobe))
     w = np.exp(logw - logw.max())
     w /= w.sum()
     return Posterior(proposals, w)
@@ -224,12 +238,8 @@ def posterior(proposals, weak: WeakLabel, volume: Volume,
 
 def infer_map(post: Posterior) -> Proposal:
     """Highest-posterior proposal; exact ties take the lower anchor_id."""
-    best = 0
-    for i in range(1, len(post.support)):
-        wi, wb = float(post.weights[i]), float(post.weights[best])
-        if wi > wb or (wi == wb and post.support[i].anchor_id < post.support[best].anchor_id):
-            best = i
-    return post.support[best]
+    return post.support[max(range(len(post.support)),
+                            key=lambda i: (post.weights[i], -post.support[i].anchor_id))]
 
 
 def infer_sampling(post: Posterior, m_hat: int, rng: np.random.Generator) -> list:
@@ -282,32 +292,19 @@ def weak_m_step(volume: Volume, weak_boxes, negatives, params: ModelParams,
 
 
 def q_value(volume: Volume, weak_boxes, negatives, params: ModelParams) -> float:
-    """Complete-data objective for fixed inferred positives.
-
-    Mean over (weak label, box) pairs of log sigmoid(logit) plus the log
-    slice and lobe likelihoods, plus the mean over negatives of
-    log(1 - sigmoid(logit)). This is exactly the quantity ``weak_m_step``
-    ascends, so a small enough step never decreases it.
+    """Complete-data objective for fixed inferred positives: minus
+    ``supervised_loss`` of the inferred boxes and the negatives, plus the
+    mean log slice and lobe likelihood of the (weak label, box) pairs. This
+    is exactly the quantity ``weak_m_step`` ascends, so a small enough step
+    never decreases it.
     """
     weak_boxes = list(weak_boxes)
-    negatives = list(negatives)
-    if not weak_boxes and not negatives:
-        raise ValueError("need at least one inferred positive or negative")
-    total = 0.0
+    total = -supervised_loss(volume, [b for _, b in weak_boxes], negatives,
+                             params.detector)[0]
     if weak_boxes:
-        acc = 0.0
-        for w, box in weak_boxes:
-            logit, _, _ = box_logit(volume, box, params.detector)
-            acc += (float(log_sigmoid(logit))
-                    + log_slice_likelihood(w.z, box, params.slice_noise)
-                    + float(lobe_log_probs(box, volume, params.lobe)[w.lobe - 1]))
-        total += acc / len(weak_boxes)
-    if negatives:
-        acc = 0.0
-        for box in negatives:
-            logit, _, _ = box_logit(volume, box, params.detector)
-            acc += float(log1m_sigmoid(logit))
-        total += acc / len(negatives)
+        total += float(np.mean(weak_log_likelihood(
+            [w.z for w, _ in weak_boxes], [w.lobe for w, _ in weak_boxes],
+            [b.center for _, b in weak_boxes], volume, params.slice_noise, params.lobe)))
     return total
 
 
@@ -365,26 +362,17 @@ def _supervised_pass(d_full, params: ModelParams, cfg: EmConfig,
     # oscillation dies out while the stable feature weights keep their
     # equilibrium.
     detector = params.detector
-    mined = []
-    losses = []
-    grads = []
-    lobe_pairs = []
-    for scan in d_full:
-        positives, negatives = supervised_examples(scan.volume, scan.truth, detector,
-                                                   cfg.stride)
-        if positives or negatives:
-            loss, grad = supervised_loss(scan.volume, positives, negatives, detector)
-            mined.append((scan.volume, positives, negatives))
-            losses.append(loss)
-            grads.append(grad)
-        lobe_pairs.extend((lobe_of(t.center, scan.volume), t, scan.volume)
-                          for t in scan.truth)
-    mean_loss = float(np.mean(losses)) if losses else 0.0
-    if grads:
-        grad = np.mean(grads, axis=0)
+    mined = [(scan.volume, *supervised_examples(scan.volume, scan.truth, detector, cfg.stride))
+             for scan in d_full]
+    lobe_pairs = [(lobe_of(t.center, scan.volume), t, scan.volume)
+                  for scan in d_full for t in scan.truth]
+    scored = [anchor_loss(v, p, n, detector, cfg.stride) for v, p, n in mined]
+    mean_loss = float(np.mean([loss for loss, _ in scored])) if scored else 0.0
+    if scored:
+        grad = np.mean([g for _, g in scored], axis=0)
         detector = _backtrack(
             lambda step: sgd_step(detector, grad, step),
-            lambda cand: float(np.mean([supervised_loss(v, p, n, cand)[0]
+            lambda cand: float(np.mean([anchor_loss(v, p, n, cand, cfg.stride)[0]
                                         for v, p, n in mined])),
             mean_loss, cfg.lr_detector * lr_scale)
     lobe = params.lobe
@@ -546,6 +534,7 @@ def load_checkpoint(path):
     try:
         params = ModelParams.from_dict(payload["params"])
         cfg = EmConfig.from_dict(payload["config"])
+        cfg.validate()
         epoch = int(payload["epoch"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint is missing or corrupts a field: {exc}") from exc

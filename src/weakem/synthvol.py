@@ -311,6 +311,17 @@ def _box_to_json(box: NoduleBox) -> dict:
     return {"x": box.x, "y": box.y, "z": box.z, "d": box.diameter}
 
 
+def check_container_capacity(shape, n_scans: int) -> None:
+    """Raise ValueError when ``n_scans`` scans of grid ``shape`` do not fit
+    one WEAKEMV1 container: its scan offsets are int32, so the last voxel
+    block must start below 2**31 bytes."""
+    block = 4 * math.prod(int(n) for n in shape)
+    last_offset = len(MAGIC) + _FIXED_HEADER.size + 4 * n_scans + (n_scans - 1) * block
+    if n_scans > 0 and last_offset > 2 ** 31 - 1:
+        raise ValueError(f"{n_scans} scans of {tuple(shape)} overflow the int32 scan "
+                         f"offsets (last offset {last_offset})")
+
+
 def save_dataset(scans, path) -> None:
     """Write scans to one WEAKEMV1 container file.
 
@@ -318,7 +329,7 @@ def save_dataset(scans, path) -> None:
     xyz, scan count, then one absolute byte offset per scan's voxel block);
     voxel blocks as float32 LE in x-fastest order; then one JSON line per
     scan with its truth boxes and weak labels. All scans must share grid
-    shape and lung region.
+    shape and lung region, and the offsets must fit in int32.
     """
     scans = list(scans)
     if not scans:
@@ -329,6 +340,7 @@ def save_dataset(scans, path) -> None:
         if scan.volume.shape != shape or (scan.volume.lung_lo, scan.volume.lung_hi) != (lo, hi):
             raise ValueError("all scans in a dataset must share grid shape and lung region")
     n = len(scans)
+    check_container_capacity(shape, n)
     header_len = len(MAGIC) + _FIXED_HEADER.size + 4 * n
     block = shape[0] * shape[1] * shape[2] * 4
     offsets = [header_len + i * block for i in range(n)]

@@ -57,6 +57,13 @@ def init_lobe_params() -> LobeParams:
     return LobeParams(np.zeros((LOBE_COUNT, LOBE_FEATURES)))
 
 
+def _log_slice(z_weak, z_center, hg: HalfGaussianParams):
+    # the log_slice_likelihood formula, elementwise over arrays
+    t = np.maximum(np.abs(z_weak - z_center) - hg.mu, 0.0)
+    var = hg.sigma * hg.sigma
+    return math.log(2.0) - 0.5 * math.log(2.0 * math.pi * var) - (t * t) / (2.0 * var)
+
+
 def log_slice_likelihood(z_weak: float, box: NoduleBox, hg: HalfGaussianParams) -> float:
     """Log density of a reported slice under the truncated half-Gaussian.
 
@@ -64,33 +71,47 @@ def log_slice_likelihood(z_weak: float, box: NoduleBox, hg: HalfGaussianParams) 
     clamped at zero, so every slice within mu of the center scores the
     maximum 2 / sqrt(2 pi sigma^2).
     """
-    t = max(abs(float(z_weak) - box.z) - hg.mu, 0.0)
-    var = hg.sigma * hg.sigma
-    return math.log(2.0) - 0.5 * math.log(2.0 * math.pi * var) - (t * t) / (2.0 * var)
+    return float(_log_slice(float(z_weak), box.z, hg))
 
 
 def slice_likelihood(z_weak: float, box: NoduleBox, hg: HalfGaussianParams) -> float:
     return math.exp(log_slice_likelihood(z_weak, box, hg))
 
 
+def _lobe_rows(centers, lung_lo, lung_dims) -> np.ndarray:
+    # lobe_feature of each row of box centers (n, 3)
+    rel = (np.asarray(centers, dtype=np.float64) - lung_lo) / lung_dims
+    return np.column_stack([rel, np.ones(len(rel))])
+
+
+def _lobe_log_softmax(rows: np.ndarray, lp: LobeParams) -> np.ndarray:
+    # log probability of each lobe for each feature row, shape (n, 6)
+    scores = rows @ lp.theta.T
+    m = scores.max(axis=1, keepdims=True)
+    return scores - (m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True)))
+
+
 def lobe_feature(box: NoduleBox, volume: Volume) -> np.ndarray:
     """Box center relative to the lung box origin, normalized by the lung
     extent per axis, with a trailing 1 for the bias."""
-    lo = volume.lung_lo
-    dims = volume.lung_dims
-    return np.array([
-        (box.x - lo[0]) / dims[0],
-        (box.y - lo[1]) / dims[1],
-        (box.z - lo[2]) / dims[2],
-        1.0,
-    ], dtype=np.float64)
+    return _lobe_rows([box.center], volume.lung_lo, volume.lung_dims)[0]
 
 
 def lobe_log_probs(box: NoduleBox, volume: Volume, lp: LobeParams) -> np.ndarray:
     """Log probability of each lobe id for one box, shape (6,)."""
-    scores = lp.theta @ lobe_feature(box, volume)
-    m = float(scores.max())
-    return scores - (m + math.log(float(np.exp(scores - m).sum())))
+    return _lobe_log_softmax(lobe_feature(box, volume)[None], lp)[0]
+
+
+def weak_log_likelihood(z_weak, lobe, centers, volume: Volume, hg: HalfGaussianParams,
+                        lp: LobeParams) -> np.ndarray:
+    """Log slice likelihood plus log lobe likelihood, one value per row of
+    box ``centers`` (n, 3). ``z_weak`` (reported slices) and ``lobe`` (lobe
+    ids 1..6) are scalars or length-n arrays, one weak label per row."""
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    logp = _lobe_log_softmax(_lobe_rows(centers, volume.lung_lo, volume.lung_dims), lp)
+    lobe_idx = np.broadcast_to(np.asarray(lobe, dtype=np.int64) - 1, (len(centers),))
+    return (_log_slice(np.asarray(z_weak, dtype=np.float64), centers[:, 2], hg)
+            + logp[np.arange(len(centers)), lobe_idx])
 
 
 def lobe_likelihood(lobe: int, box: NoduleBox, volume: Volume, lp: LobeParams) -> float:
@@ -127,19 +148,17 @@ def lobe_objective(batch, lp: LobeParams):
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be nonempty")
-    grad = np.zeros_like(lp.theta)
-    nll = 0.0
-    inv = 1.0 / len(batch)
-    for lobe, box, volume in batch:
-        if not 1 <= lobe <= LOBE_COUNT:
-            raise ValueError(f"lobe must be in 1..{LOBE_COUNT}")
-        feats = lobe_feature(box, volume)
-        logp = lobe_log_probs(box, volume, lp)
-        nll -= float(logp[lobe - 1]) * inv
-        resid = -np.exp(logp)
-        resid[lobe - 1] += 1.0
-        grad += inv * np.outer(resid, feats)
-    return nll, grad
+    lobes = np.array([lobe for lobe, _, _ in batch], dtype=np.int64)
+    if lobes.min() < 1 or lobes.max() > LOBE_COUNT:
+        raise ValueError(f"lobe must be in 1..{LOBE_COUNT}")
+    rows = _lobe_rows([box.center for _, box, _ in batch],
+                      np.array([v.lung_lo for _, _, v in batch], dtype=np.float64),
+                      np.array([v.lung_dims for _, _, v in batch], dtype=np.float64))
+    logp = _lobe_log_softmax(rows, lp)
+    picked = (np.arange(len(batch)), lobes - 1)
+    resid = -np.exp(logp)
+    resid[picked] += 1.0
+    return -float(np.mean(logp[picked])), resid.T @ rows / len(batch)
 
 
 def lobe_fit_step(batch, lp: LobeParams, learning_rate: float):

@@ -83,6 +83,16 @@ class TestGenerate:
         assert code == EXIT_CONFIG
         assert "empty split" in capsys.readouterr().err
 
+    def test_split_too_large_for_the_container_is_a_config_error(self, tmp_path, capsys):
+        from pathlib import Path
+        big = {**SMOKE, "generator": {**SMOKE["generator"], "dims": [64, 64, 64]},
+               "n_weak": 2049}
+        cfg = write_config(tmp_path / "exp.json", big)
+        out = tmp_path / "r"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "int32" in capsys.readouterr().err
+        assert not Path(out).exists()
+
     def test_resolved_config_is_written(self, smoke_run):
         from pathlib import Path
         _, out = smoke_run
@@ -212,6 +222,13 @@ class TestEval:
         data = str(Path(out) / SPLIT_FILES["valid"])
         assert main(["eval", str(bad), data]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+        # a well-formed checkpoint whose stored config fails validation
+        good = json.loads((Path(out) / "checkpoint_baseline_seed0.json").read_text())
+        for field, value in (("stride", 0), ("nms_iou", 5.0)):
+            payload = {**good, "config": {**good["config"], field: value}}
+            bad.write_text(json.dumps(payload))
+            assert main(["eval", str(bad), data, "--out", str(tmp_path)]) == EXIT_DATA
+            assert "data error" in capsys.readouterr().err
 
     def test_truncated_dataset_is_a_data_error(self, smoke_run, tmp_path, capsys):
         from pathlib import Path

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from weakem.detector import (DetectorParams, N_FEATURES, anchor_points, extract_features,
-                             init_detector, log1m_sigmoid, log_sigmoid,
-                             match_positive_anchors, propose, sgd_step, sigmoid,
-                             supervised_examples, supervised_loss)
+from weakem.detector import (DetectorParams, N_FEATURES, anchor_loss, anchor_points,
+                             extract_features, init_detector, log1m_sigmoid, log_sigmoid,
+                             propose, sgd_step, sigmoid, supervised_examples,
+                             supervised_loss)
 from weakem.synthvol import GeneratorConfig, NoduleBox, Volume, generate_scan
 
 EASY = GeneratorConfig(count_min=1, count_max=1, noise=0.01, clutter=0.02,
@@ -220,17 +220,24 @@ class TestSgdStep:
             sgd_step(params, np.zeros_like(params.weights), 0.0)
 
 
+def anchor_centers(volume, ids, stride, n_scales):
+    # grid point of each anchor_id, through anchor_points
+    return anchor_points(volume, stride)[np.asarray(ids) // n_scales]
+
+
 class TestSupervisedExamples:
     def test_positive_anchors_cover_each_truth(self):
         scan = generate_scan(31, GeneratorConfig(count_min=2, count_max=2))
-        positives = match_positive_anchors(scan.volume, scan.truth, (5.0, 8.0), stride=2)
+        positives, _ = supervised_examples(scan.volume, scan.truth,
+                                           init_detector((5.0, 8.0)), stride=2)
+        centers = anchor_centers(scan.volume, positives, 2, 2)
         for t in scan.truth:
-            assert any(math.dist(p.center, t.center) <= t.radius for p in positives)
+            assert any(math.dist(c, t.center) <= t.radius for c in centers)
 
     def test_fallback_when_stride_skips_a_truth(self):
         vol = uniform_volume()
         tiny = NoduleBox(5.3, 5.2, 5.1, 1.0)
-        positives = match_positive_anchors(vol, [tiny], (5.0,), stride=8)
+        positives, _ = supervised_examples(vol, [tiny], init_detector((5.0,)), stride=8)
         assert len(positives) == 1
 
     def test_negative_count_and_separation(self):
@@ -238,16 +245,71 @@ class TestSupervisedExamples:
         params = init_detector((5.0, 8.0))
         positives, negatives = supervised_examples(scan.volume, scan.truth, params, stride=4)
         assert len(negatives) == max(2, 2 * len(positives))
-        for n in negatives:
+        for c in anchor_centers(scan.volume, negatives, 4, 2):
             for t in scan.truth:
-                assert math.dist(n.center, t.center) > t.radius
+                assert math.dist(c, t.center) > t.radius
 
     def test_no_truth_still_yields_negatives(self):
         scan = generate_scan(34, GeneratorConfig(count_min=0, count_max=0))
         params = init_detector((5.0, 8.0))
         positives, negatives = supervised_examples(scan.volume, scan.truth, params, stride=4)
-        assert positives == []
+        assert len(positives) == 0
         assert len(negatives) == 2
+
+
+def loop_loss(volume, positives, negatives, params):
+    # the objective box by box with scalar arithmetic: the reference for the
+    # vectorised cross-entropy
+    loss, grad = 0.0, np.zeros_like(params.weights)
+    for boxes, positive in ((positives, True), (negatives, False)):
+        for b in boxes:
+            feats = extract_features(volume, b)
+            j = min(range(len(params.scales)),
+                    key=lambda k: abs(math.log(b.diameter) - math.log(params.scales[k])))
+            p = 1.0 / (1.0 + math.exp(-float(feats @ params.weights[:N_FEATURES]
+                                             + params.weights[N_FEATURES + j])))
+            loss -= math.log(p if positive else 1.0 - p) / len(boxes)
+            slope = ((p - 1.0) if positive else p) / len(boxes)
+            grad[:N_FEATURES] += slope * feats
+            grad[N_FEATURES + j] += slope
+    return loss, grad
+
+
+class TestAnchorLoss:
+    def test_id_path_matches_box_edge(self):
+        # the supervised pass scores anchor ids from the cached grid; the
+        # same anchors as NoduleBoxes through supervised_loss give the same
+        # loss and gradient, and the box-by-box loop agrees with both
+        scan = generate_scan(35, GeneratorConfig(count_min=2, count_max=3))
+        scales, stride = (5.0, 8.0), 4
+        pts = anchor_points(scan.volume, stride)
+        rng = np.random.default_rng(8)
+
+        def boxes(ids):
+            return [NoduleBox(*map(float, pts[i // len(scales)]), scales[i % len(scales)])
+                    for i in ids]
+
+        for _ in range(5):
+            params = DetectorParams(rng.normal(scale=0.8, size=N_FEATURES + 2), scales)
+            positives, negatives = supervised_examples(scan.volume, scan.truth, params, stride)
+            loss, grad = anchor_loss(scan.volume, positives, negatives, params, stride)
+            want_loss, want_grad = supervised_loss(scan.volume, boxes(positives),
+                                                   boxes(negatives), params)
+            assert loss == pytest.approx(want_loss, rel=1e-12)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=0.0)
+            ref_loss, ref_grad = loop_loss(scan.volume, boxes(positives), boxes(negatives),
+                                           params)
+            assert want_loss == pytest.approx(ref_loss, rel=1e-9)
+            np.testing.assert_allclose(want_grad, ref_grad, rtol=1e-9, atol=1e-12)
+
+    def test_box_scoring_adds_no_cache_entries(self):
+        scan = generate_scan(36, GeneratorConfig())
+        params = init_detector((5.0, 8.0))
+        supervised_loss(scan.volume, [NoduleBox(16.0, 16.0, 16.0, 6.0)], [], params)
+        before = len(scan.volume._cache)
+        boxes = [NoduleBox(6.0 + 0.4 * i, 12.0, 16.0, 6.0) for i in range(50)]
+        supervised_loss(scan.volume, boxes[:20], boxes[20:], params)
+        assert len(scan.volume._cache) == before
 
 
 class TestDetectorParams:

@@ -7,8 +7,9 @@ import pytest
 
 from weakem.synthvol import (DatasetHeaderError, DatasetPayloadError, DatasetVersionError,
                              GenerationError, GeneratorConfig, LabeledScan, NoduleBox,
-                             Volume, WeakLabel, attach_weak_labels, generate_scan,
-                             load_dataset, lobe_of, save_dataset, weaken)
+                             Volume, WeakLabel, attach_weak_labels,
+                             check_container_capacity, generate_scan, load_dataset, lobe_of,
+                             save_dataset, weaken)
 
 
 def flat_volume(shape=(32, 32, 32), margin=2, value=0.0):
@@ -278,6 +279,20 @@ class TestDatasetContainer:
         b = generate_scan(0, GeneratorConfig(dims=(32, 32, 48)))
         with pytest.raises(ValueError):
             save_dataset([a, b], tmp_path / "mixed.wem")
+
+    def test_int32_offset_boundary(self):
+        # at 64^3 a scan is 2**20 bytes: scan 2,048 starts below 2**31, scan
+        # 2,049 at 2**31 + 8,244 bytes
+        check_container_capacity((64, 64, 64), 2048)
+        with pytest.raises(ValueError, match=str(2 ** 31 + 8244)):
+            check_container_capacity((64, 64, 64), 2049)
+
+    def test_oversized_dataset_is_refused_before_writing(self, tmp_path):
+        scan = LabeledScan(flat_volume((64, 64, 64)), [], [])
+        path = tmp_path / "huge.wem"
+        with pytest.raises(ValueError):
+            save_dataset([scan] * 2049, path)
+        assert not path.exists()
 
 
 class TestTypeValidation:
