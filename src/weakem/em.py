@@ -10,6 +10,8 @@ detector anchored through one supervised pass per epoch.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import math
 import os
@@ -22,7 +24,7 @@ import numpy as np
 from . import froc as froc_mod
 # propose is not called here (see _scan_filtered) but stays importable as em.propose
 from .detector import (DetectorParams, Proposal, _anchor_grid, anchor_loss,  # noqa: F401
-                       grid_logits, init_detector, log_sigmoid, propose, sgd_step,
+                       grid_logits, init_detector, log_sigmoid, propose, sgd_step, sigmoid,
                        supervised_examples, supervised_loss)
 from .froc import Detection, FrocResult
 from .synthvol import LabeledScan, NoduleBox, Volume, WeakLabel, lobe_of
@@ -163,32 +165,113 @@ def iou_3d(a: NoduleBox, b: NoduleBox) -> float:
     return inter / union
 
 
-def _conflict_matrix(edges, cubes, head: int, rest: np.ndarray, nms_iou: float) -> np.ndarray:
-    # whether box ``head`` overlaps each box of ``rest`` with IoU above
-    # nms_iou; the same per-axis arithmetic as iou_3d, so decisions match the
-    # scalar form exactly
+def _conflict_matrix(edges, cubes, a: np.ndarray, b: np.ndarray, nms_iou: float) -> np.ndarray:
+    # whether box a[k] and box b[k] overlap with IoU above nms_iou, for each
+    # k; the same per-axis arithmetic as iou_3d, so decisions match the
+    # scalar form exactly, and symmetric in a and b bit for bit
     lo_edge, hi_edge = edges
-    overlap = np.maximum(np.minimum(hi_edge[head], hi_edge[rest])
-                         - np.maximum(lo_edge[head], lo_edge[rest]), 0.0)
+    overlap = np.maximum(np.minimum(hi_edge[a], hi_edge[b])
+                         - np.maximum(lo_edge[a], lo_edge[b]), 0.0)
     inter = overlap[:, 0] * overlap[:, 1] * overlap[:, 2]
-    return inter / (cubes[head] + cubes[rest] - inter) > nms_iou
+    return inter / (cubes[a] + cubes[b] - inter) > nms_iou
 
 
-def _greedy_nms(centers, diameters, logits, ids, cfg: EmConfig) -> list[int]:
-    # rows of boxes (centers, diameters) kept by the logit threshold and greedy
-    # NMS, by descending logit, ties by ``ids``; each kept box is tested only
-    # against the live candidates after it. Cubes use Python's power, as iou_3d.
-    alive = np.flatnonzero(logits >= cfg.logit_threshold)
-    rest = alive[np.lexsort((ids[alive], -logits[alive]))]
+def _box_arrays(centers: np.ndarray, diameters: np.ndarray):
+    # per-axis (lo, hi) edges and cube volumes of boxes; cubes use Python's
+    # float power, as iou_3d does
     radii = diameters[:, None] / 2.0
-    edges = (centers - radii, centers + radii)
     sizes, which = np.unique(diameters, return_inverse=True)
     cubes = np.array([d ** 3 for d in sizes.tolist()], dtype=np.float64)[which]
+    return (centers - radii, centers + radii), cubes
+
+
+def _conflict_lists(n: int, candidates, edges, cubes, nms_iou: float):
+    # CSR conflict lists (offsets, neighbours), both int32, of n boxes:
+    # neighbours[offsets[i]:offsets[i + 1]] are the boxes whose IoU with box
+    # i exceeds nms_iou. ``candidates`` yields (a, b) index arrays that
+    # together hold every overlapping unordered pair at least once
+    # (each pair is tested as given and listed in both directions)
+    src, dst = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for a, b in candidates:
+        hit = _conflict_matrix(edges, cubes, a, b, nms_iou)
+        src += [a[hit], b[hit]]
+        dst += [b[hit], a[hit]]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    neighbours = dst[np.argsort(src, kind="stable")].astype(np.int32)
+    offsets.flags.writeable = neighbours.flags.writeable = False
+    return offsets, neighbours
+
+
+def _sweep_pairs(edges, chunk: int = 1 << 16):
+    # candidate pairs of arbitrary boxes, each unordered pair once: with
+    # boxes sorted by their low x edge, row i can overlap only the rows after
+    # it that start before it ends in x, a run of ``counts[i]`` rows found
+    # by one searchsorted. Runs are expanded into pairs about ``chunk`` at a
+    # time, and pairs apart in y or z are dropped.
+    order = np.argsort(edges[0][:, 0], kind="stable")
+    (lx, ly, lz), (hx, hy, hz) = (np.ascontiguousarray(e[order].T) for e in edges)
+    rows = np.arange(len(order))
+    counts = np.maximum(np.searchsorted(lx, hx) - rows - 1, 0)
+    bounds = np.searchsorted(np.cumsum(counts), np.arange(chunk, counts.sum() + chunk, chunk),
+                             side="right")
+    for start, stop in zip(np.r_[0, bounds[:-1]], bounds):
+        n_pairs = counts[start:stop]
+        a = np.repeat(rows[start:stop], n_pairs)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+        near = (ly[b] < hy[a]) & (ly[a] < hy[b]) & (lz[b] < hz[a]) & (lz[a] < hz[b])
+        yield order[a[near]], order[b[near]]
+
+
+def _lattice_pairs(shape, n_scales: int, reach: int):
+    # candidate pairs of grid anchors (anchor_id = point * n_scales + scale,
+    # points in (x, y, z) lexicographic order over ``shape``) fewer than
+    # ``reach`` cells apart on every axis, one lattice offset and one scale
+    # pair at a time, each unordered pair once
+    points = np.arange(int(np.prod(shape))).reshape(shape)
+    steps = [range(1 - min(reach, n), min(reach, n)) for n in shape]
+    for offset in itertools.product(*steps):
+        if offset < (0, 0, 0):
+            continue
+        src = points[tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))]
+        dst = points[tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))]
+        src, dst = src.ravel() * n_scales, dst.ravel() * n_scales
+        for i, j in itertools.product(range(n_scales), repeat=2):
+            if offset != (0, 0, 0) or i < j:
+                yield src + i, dst + j
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_conflicts(lung_lo, lung_hi, stride: int, scales, nms_iou: float):
+    # conflict lists of the anchor grid that detector._anchor_grid lays over
+    # a lung box: they depend on the geometry only, so every volume with the
+    # same lung box shares one copy, O(anchors x neighbours) in size
+    axes = [np.arange(lo, hi, stride) for lo, hi in zip(lung_lo, lung_hi)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    centers = np.repeat(points, len(scales), axis=0).astype(np.float64)
+    diameters = np.tile(np.asarray(scales, dtype=np.float64), len(points))
+    edges, cubes = _box_arrays(centers, diameters)
+    # cubes whose centres lie reach * stride >= max(scales) >= r1 + r2 apart
+    # on an axis cannot overlap
+    reach = math.ceil(max(scales) / stride)
+    pairs = _lattice_pairs(tuple(map(len, axes)), len(scales), reach)
+    return _conflict_lists(len(centers), pairs, edges, cubes, nms_iou)
+
+
+def _greedy_nms(logits: np.ndarray, ids: np.ndarray, graph, logit_threshold: float) -> list[int]:
+    # rows kept by the logit threshold and greedy NMS over the conflict lists
+    # ``graph``: by descending logit, ties by ``ids``, a row is kept unless a
+    # kept row already suppressed it, and suppresses its neighbours
+    offsets, neighbours = (memoryview(a) for a in graph)
+    alive = np.flatnonzero(logits >= logit_threshold)
+    suppressed = bytearray(len(logits))
     kept = []
-    while rest.size:
-        head, rest = rest[0], rest[1:]
-        kept.append(int(head))
-        rest = rest[~_conflict_matrix(edges, cubes, head, rest, cfg.nms_iou)]
+    for i in alive[np.lexsort((ids[alive], -logits[alive]))].tolist():
+        if not suppressed[i]:
+            kept.append(i)
+            for j in neighbours[offsets[i]:offsets[i + 1]]:
+                suppressed[j] = 1
     return kept
 
 
@@ -200,20 +283,25 @@ def filter_proposals(proposals, cfg: EmConfig) -> list[Proposal]:
     ``cfg.nms_iou``. Output keeps that descending order.
     """
     proposals = list(proposals)
-    kept = _greedy_nms(
+    edges, cubes = _box_arrays(
         np.array([p.box.center for p in proposals], dtype=np.float64).reshape(-1, 3),
-        np.array([p.box.diameter for p in proposals], dtype=np.float64),
-        np.array([p.logit for p in proposals], dtype=np.float64),
-        np.array([p.anchor_id for p in proposals], dtype=np.int64), cfg)
+        np.array([p.box.diameter for p in proposals], dtype=np.float64))
+    graph = _conflict_lists(len(proposals), _sweep_pairs(edges), edges, cubes, cfg.nms_iou)
+    kept = _greedy_nms(np.array([p.logit for p in proposals], dtype=np.float64),
+                       np.array([p.anchor_id for p in proposals], dtype=np.int64),
+                       graph, cfg.logit_threshold)
     return [proposals[i] for i in kept]
 
 
 def _scan_filtered(volume: Volume, params: ModelParams, cfg: EmConfig) -> list[Proposal]:
-    # filter_proposals(propose(...)) from the cached grid arrays: only kept
-    # anchors become Proposals
-    grid = _anchor_grid(volume, cfg.stride, params.detector.scales)
+    # filter_proposals(propose(...)) from the cached grid arrays and the
+    # shared conflict lists of the volume's lung box: only kept anchors
+    # become Proposals
+    scales = params.detector.scales
+    grid = _anchor_grid(volume, cfg.stride, scales)
     logits = grid_logits(volume, params.detector, cfg.stride).ravel()
-    kept = _greedy_nms(grid.centers, grid.diameters, logits, np.arange(len(logits)), cfg)
+    graph = _grid_conflicts(volume.lung_lo, volume.lung_hi, cfg.stride, scales, cfg.nms_iou)
+    kept = _greedy_nms(logits, np.arange(len(logits)), graph, cfg.logit_threshold)
     return [Proposal(grid.box(i), float(logits[i]), i) for i in kept]
 
 
@@ -327,7 +415,8 @@ def scan_detections(volume: Volume, params: ModelParams, cfg: EmConfig,
                     scan_id: int = 0) -> list[Detection]:
     """Propose, filter, and score one scan."""
     kept = _scan_filtered(volume, params, cfg)
-    return [Detection(scan_id, p.box, p.probability) for p in kept]
+    scores = sigmoid(np.array([p.logit for p in kept], dtype=np.float64))
+    return [Detection(scan_id, p.box, score) for p, score in zip(kept, scores.tolist())]
 
 
 def evaluate_froc(scans, params: ModelParams, cfg: EmConfig) -> FrocResult:

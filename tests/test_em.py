@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from weakem.detector import (DetectorParams, N_FEATURES, Proposal, init_detector,
-                             propose, sigmoid)
+from weakem.detector import (DetectorParams, N_FEATURES, Proposal, _anchor_grid,
+                             init_detector, propose, sigmoid)
 from weakem.em import (EmConfig, ModelParams, NoProposalsError, Posterior,
-                       _supervised_pass, _weak_batch_m_step, evaluate_froc,
+                       _box_arrays, _grid_conflicts, _scan_filtered, _supervised_pass,
+                       _sweep_pairs, _weak_batch_m_step, evaluate_froc,
                        filter_proposals, hard_negatives, infer_map, infer_sampling,
                        initialize_params, iou_3d, load_checkpoint, posterior, q_value,
                        read_metrics_csv, save_checkpoint, scan_detections, train_em,
@@ -124,13 +125,26 @@ class TestFilterProposals:
                 assert iou_3d(a.box, b.box) <= cfg.nms_iou
 
     def test_matches_quadratic_oracle(self):
-        cfg = EmConfig()
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            props = random_proposals(rng, int(rng.integers(0, 60)), spread=12.0)
-            got = filter_proposals(props, cfg)
-            want = nms_oracle(props, cfg)
-            assert [p.anchor_id for p in got] == [p.anchor_id for p in want]
+        for cfg in (EmConfig(), EmConfig(nms_iou=0.01), EmConfig(nms_iou=0.5)):
+            for _ in range(100):
+                props = random_proposals(rng, int(rng.integers(0, 60)), spread=12.0)
+                got = filter_proposals(props, cfg)
+                want = nms_oracle(props, cfg)
+                assert [p.anchor_id for p in got] == [p.anchor_id for p in want]
+
+    def test_sweep_holds_each_overlapping_pair_once_at_any_chunk_size(self):
+        props = random_proposals(np.random.default_rng(3), 80, spread=12.0)
+        edges, _ = _box_arrays(np.array([p.box.center for p in props]),
+                               np.array([p.box.diameter for p in props]))
+        overlapping = {(i, j) for i in range(80) for j in range(i + 1, 80)
+                       if iou_3d(props[i].box, props[j].box) > 0}
+        assert len(overlapping) > 100
+        for chunk in (1, 7, 1 << 16):
+            pairs = [tuple(sorted(ab)) for a, b in _sweep_pairs(edges, chunk)
+                     for ab in zip(a.tolist(), b.tolist())]
+            assert len(pairs) == len(set(pairs))
+            assert overlapping <= set(pairs)
 
 
 class TestScanDetections:
@@ -150,6 +164,22 @@ class TestScanDetections:
             assert [(d.scan_id, d.box, d.score) for d in got] == \
                    [(3, p.box, p.probability) for p in kept]
 
+    def test_scores_equal_proposal_probability_bit_for_bit(self):
+        cfg = EmConfig(logit_threshold=-40.0)
+        scan = generate_scan(13, GeneratorConfig())
+        rng = np.random.default_rng(8)
+        logits = []
+        for scale in (0.5, 4.0, 20.0, 20.0):
+            weights = rng.normal(scale=scale, size=N_FEATURES + 2)
+            params = ModelParams(DetectorParams(weights, (5.0, 8.0)),
+                                 init_lobe_params(), HalfGaussianParams(1.5, 1.63))
+            kept = _scan_filtered(scan.volume, params, cfg)
+            got = scan_detections(scan.volume, params, cfg)
+            assert len(got) == len(kept) > 1
+            assert [d.score.hex() for d in got] == [p.probability.hex() for p in kept]
+            logits += [p.logit for p in kept]
+        assert min(logits) < -10 and max(logits) > 10
+
     def test_no_quadratic_cache_at_64(self):
         # memory per scanned volume must stay linear in the anchor count
         cfg = EmConfig()
@@ -168,6 +198,77 @@ class TestScanDetections:
         sizes = [a.size for v in scan.volume._cache.values() for a in arrays(v)]
         assert sizes
         assert max(sizes) < n_anchors ** 2
+
+
+# small anchor grids: (lung_lo, lung_hi, stride, scales), with non-integer
+# scales and lung boxes whose extent is not a multiple of the stride
+GRID_CASES = [
+    ((1, 2, 3), (7, 6, 9), 1, (5.3, 7.7, 11.0)),
+    ((2, 1, 0), (15, 13, 14), 3, (5.3, 7.7, 11.0)),
+    ((3, 2, 1), (22, 19, 20), 4, (5.0, 8.0)),
+    ((2, 3, 1), (21, 18, 22), 4, (5.3, 7.7, 11.0)),
+]
+NMS_IOUS = (0.05, 0.1, 0.5)
+
+
+def grid_volume(lung_lo, lung_hi, seed=0):
+    rng = np.random.default_rng(seed)
+    return Volume(rng.random((24, 24, 24)).astype(np.float32), lung_lo, lung_hi)
+
+
+class TestConflictGraph:
+    @pytest.mark.parametrize("lung_lo, lung_hi, stride, scales", GRID_CASES)
+    def test_lists_equal_all_pairs_iou(self, lung_lo, lung_hi, stride, scales):
+        grid = _anchor_grid(grid_volume(lung_lo, lung_hi), stride, scales)
+        boxes = [grid.box(i) for i in range(len(grid.diameters))]
+        iou = [[iou_3d(a, b) for b in boxes] for a in boxes]
+        assert any(0.05 < x < 1 for row in iou for x in row)
+        for nms_iou in NMS_IOUS:
+            offsets, neighbours = _grid_conflicts(lung_lo, lung_hi, stride, scales, nms_iou)
+            assert offsets.dtype == neighbours.dtype == np.int32
+            assert len(offsets) == len(boxes) + 1
+            got = [sorted(neighbours[offsets[i]:offsets[i + 1]].tolist())
+                   for i in range(len(boxes))]
+            want = [[j for j in range(len(boxes)) if j != i and iou[i][j] > nms_iou]
+                    for i in range(len(boxes))]
+            assert got == want
+
+    @pytest.mark.parametrize("lung_lo, lung_hi, stride, scales", GRID_CASES)
+    def test_scan_filter_matches_quadratic_oracle(self, lung_lo, lung_hi, stride, scales):
+        volume = grid_volume(lung_lo, lung_hi, seed=stride)
+        rng = np.random.default_rng(len(scales) + stride)
+        kept = []
+        for nms_iou in NMS_IOUS:
+            for _ in range(3):
+                detector = DetectorParams(rng.normal(scale=1.5, size=N_FEATURES + len(scales)),
+                                          scales)
+                params = ModelParams(detector, init_lobe_params(), HalfGaussianParams(1.5, 1.63))
+                proposals = propose(volume, detector, stride)
+                # a threshold that drops about a third of the anchors
+                threshold = float(np.quantile([p.logit for p in proposals], 0.3))
+                cfg = EmConfig(logit_threshold=threshold, nms_iou=nms_iou, stride=stride,
+                               anchor_scales=scales)
+                want = nms_oracle(proposals, cfg)
+                assert _scan_filtered(volume, params, cfg) == want
+                kept.append(len(want))
+        assert max(kept) > 1
+
+    def test_one_build_per_geometry_and_a_bounded_cache(self):
+        cfg = EmConfig()
+        params = uniform_model()
+        first, second = flat_volume(), flat_volume()
+        _grid_conflicts.cache_clear()
+        scan_detections(first, params, cfg)
+        scan_detections(second, params, cfg)
+        assert _grid_conflicts.cache_info().misses == 1
+        assert _grid_conflicts.cache_info().hits == 1
+        scan_detections(first, params, dataclasses.replace(cfg, nms_iou=0.2))
+        scan_detections(first, params, dataclasses.replace(cfg, stride=3))
+        assert _grid_conflicts.cache_info().misses == 3
+        assert _grid_conflicts.cache_info().currsize == 3
+        for nms_iou in (0.3, 0.4, 0.5, 0.6):
+            scan_detections(second, params, dataclasses.replace(cfg, nms_iou=nms_iou))
+        assert _grid_conflicts.cache_info().currsize == _grid_conflicts.cache_info().maxsize
 
 
 def naive_posterior(proposals, weak, volume, params):

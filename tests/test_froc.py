@@ -1,5 +1,6 @@
 """FROC matching and staircase tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -173,3 +174,50 @@ class TestFrocProperties:
             with_miss = froc(detections + [far], truths).sensitivities
             for a, b in zip(base, with_miss):
                 assert b <= a
+
+
+def edge_scene(rng, n_scans=3):
+    # truths with detections on, just inside and just outside their radius
+    # along each axis, nudged off-axis, at their centres, and midway between
+    # truth pairs (a distance tie when both contain the midpoint)
+    truths, detections = [], []
+    for scan_id in range(n_scans):
+        scan_truths = [box(*rng.integers(6, 14, 3), rng.choice([4.0, 6.0, 7.3]))
+                       for _ in range(int(rng.integers(1, 4)))]
+        twin = scan_truths[0]
+        scan_truths.insert(int(rng.integers(0, 2)), box(twin.x + 2, twin.y, twin.z, twin.diameter))
+        centers = []
+        for t in scan_truths:
+            centers.append(list(t.center))
+            for axis, sign in itertools.product(range(3), (-1.0, 1.0)):
+                edge = list(t.center)
+                edge[axis] += sign * t.radius
+                inward, outward, skew = list(edge), list(edge), list(edge)
+                inward[axis] = np.nextafter(edge[axis], t.center[axis])
+                outward[axis] = np.nextafter(edge[axis], edge[axis] + sign)
+                skew[(axis + 1) % 3] += 1e-9
+                centers += [edge, inward, outward, skew]
+        for a, b in itertools.combinations(scan_truths, 2):
+            centers.append([(p + q) / 2 for p, q in zip(a.center, b.center)])
+        centers += rng.uniform(0, 20, size=(5, 3)).tolist()
+        truths.append(scan_truths)
+        detections += [Detection(scan_id, box(*c), float(rng.uniform(0.05, 0.95)))
+                       for c in centers]
+    return detections, truths
+
+
+class TestFrocMatchesScalarMatch:
+    def test_credits_equal_match_on_radius_edges_and_ties(self):
+        rng = np.random.default_rng(13)
+        credited = []
+        for _ in range(20):
+            detections, truths = edge_scene(rng)
+            for d in detections:
+                alone = froc([d], truths).curve[0]
+                hit = match(d, truths[d.scan_id])
+                assert (alone.sensitivity > 0) == (hit is not None)
+                credited.append(hit is not None)
+            points, _ = froc_oracle(detections, truths)
+            result = froc(detections, truths)
+            assert [(p.threshold, p.fp_per_scan, p.sensitivity) for p in result.curve] == points
+        assert any(credited) and not all(credited)
