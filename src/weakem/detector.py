@@ -156,14 +156,28 @@ def extract_features(volume: Volume, box: NoduleBox) -> np.ndarray:
     ], dtype=np.float64)
 
 
+def _lung_points(lung_lo, lung_hi, stride: int) -> np.ndarray:
+    # anchor_points of a lung box
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    axes = [np.arange(lo, hi, stride) for lo, hi in zip(lung_lo, lung_hi)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
+
+
 def anchor_points(volume: Volume, stride: int) -> np.ndarray:
     """Integer anchor centers on a stride grid over the lung region,
     in ascending (x, y, z) lexicographic order. Shape (n, 3)."""
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    axes = [np.arange(volume.lung_lo[a], volume.lung_hi[a], stride) for a in range(3)]
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
+    return _lung_points(volume.lung_lo, volume.lung_hi, stride)
+
+
+def anchor_geometry(lung_lo, lung_hi, stride: int, scales) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (A, 3) and diameters (A,) of the anchor boxes over a lung box,
+    indexed by anchor_id: anchor ``i`` is ``anchor_points`` row
+    ``i // n_scales`` at scale ``i % n_scales``."""
+    pts = _lung_points(lung_lo, lung_hi, stride)
+    return (np.repeat(pts, len(scales), axis=0).astype(np.float64),
+            np.tile(np.asarray(scales, dtype=np.float64), len(pts)))
 
 
 def _batch_features(volume: Volume, pts: np.ndarray, scale: float, out: np.ndarray) -> None:
@@ -229,8 +243,8 @@ def _anchor_grid(volume: Volume, stride: int, scales) -> AnchorGrid:
         feats = np.empty((len(scales), len(pts), N_FEATURES), dtype=np.float64)
         for j, scale in enumerate(scales):
             _batch_features(volume, pts, scale, feats[j])
-        grid = AnchorGrid(np.repeat(pts, len(scales), axis=0).astype(np.float64),
-                          np.tile(np.asarray(scales, dtype=np.float64), len(pts)), feats)
+        grid = AnchorGrid(*anchor_geometry(volume.lung_lo, volume.lung_hi, stride, scales),
+                          feats)
         volume._cache[key] = grid
     return grid
 

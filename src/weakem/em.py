@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -23,9 +22,9 @@ import numpy as np
 
 from . import froc as froc_mod
 # propose is not called here (see _scan_filtered) but stays importable as em.propose
-from .detector import (DetectorParams, Proposal, _anchor_grid, anchor_loss,  # noqa: F401
-                       grid_logits, init_detector, log_sigmoid, propose, sgd_step, sigmoid,
-                       supervised_examples, supervised_loss)
+from .detector import (DetectorParams, Proposal, _anchor_grid, anchor_geometry,  # noqa: F401
+                       anchor_loss, grid_logits, init_detector, log_sigmoid, propose, sgd_step,
+                       sigmoid, supervised_examples, supervised_loss)
 from .froc import Detection, FrocResult
 from .synthvol import LabeledScan, NoduleBox, Volume, WeakLabel, lobe_of
 from .weaklik import (DEFAULT_MU, DEFAULT_SIGMA_FLOOR, HalfGaussianParams, LobeParams,
@@ -185,36 +184,22 @@ def _box_arrays(centers: np.ndarray, diameters: np.ndarray):
     return (centers - radii, centers + radii), cubes
 
 
-def _conflict_lists(n: int, candidates, edges, cubes, nms_iou: float):
-    # CSR conflict lists (offsets, neighbours), both int32, of n boxes:
-    # neighbours[offsets[i]:offsets[i + 1]] are the boxes whose IoU with box
-    # i exceeds nms_iou. ``candidates`` yields (a, b) index arrays that
-    # together hold every overlapping unordered pair at least once
-    # (each pair is tested as given and listed in both directions)
-    src, dst = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for a, b in candidates:
-        hit = _conflict_matrix(edges, cubes, a, b, nms_iou)
-        src += [a[hit], b[hit]]
-        dst += [b[hit], a[hit]]
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    offsets = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    neighbours = dst[np.argsort(src, kind="stable")].astype(np.int32)
-    offsets.flags.writeable = neighbours.flags.writeable = False
-    return offsets, neighbours
+# candidate pairs _sweep_pairs expands per batch; bounds its temporaries
+_SWEEP_CHUNK = 1 << 16
 
 
-def _sweep_pairs(edges, chunk: int = 1 << 16):
-    # candidate pairs of arbitrary boxes, each unordered pair once: with
-    # boxes sorted by their low x edge, row i can overlap only the rows after
-    # it that start before it ends in x, a run of ``counts[i]`` rows found
-    # by one searchsorted. Runs are expanded into pairs about ``chunk`` at a
+def _sweep_pairs(edges):
+    # candidate pairs of boxes, each unordered pair once: with boxes sorted
+    # by their low x edge, row i can overlap only the rows after it that
+    # start before it ends in x, a run of ``counts[i]`` rows found by one
+    # searchsorted. Runs are expanded into pairs about _SWEEP_CHUNK at a
     # time, and pairs apart in y or z are dropped.
     order = np.argsort(edges[0][:, 0], kind="stable")
     (lx, ly, lz), (hx, hy, hz) = (np.ascontiguousarray(e[order].T) for e in edges)
     rows = np.arange(len(order))
     counts = np.maximum(np.searchsorted(lx, hx) - rows - 1, 0)
-    bounds = np.searchsorted(np.cumsum(counts), np.arange(chunk, counts.sum() + chunk, chunk),
+    bounds = np.searchsorted(np.cumsum(counts),
+                             np.arange(_SWEEP_CHUNK, counts.sum() + _SWEEP_CHUNK, _SWEEP_CHUNK),
                              side="right")
     for start, stop in zip(np.r_[0, bounds[:-1]], bounds):
         n_pairs = counts[start:stop]
@@ -224,39 +209,31 @@ def _sweep_pairs(edges, chunk: int = 1 << 16):
         yield order[a[near]], order[b[near]]
 
 
-def _lattice_pairs(shape, n_scales: int, reach: int):
-    # candidate pairs of grid anchors (anchor_id = point * n_scales + scale,
-    # points in (x, y, z) lexicographic order over ``shape``) fewer than
-    # ``reach`` cells apart on every axis, one lattice offset and one scale
-    # pair at a time, each unordered pair once
-    points = np.arange(int(np.prod(shape))).reshape(shape)
-    steps = [range(1 - min(reach, n), min(reach, n)) for n in shape]
-    for offset in itertools.product(*steps):
-        if offset < (0, 0, 0):
-            continue
-        src = points[tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))]
-        dst = points[tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))]
-        src, dst = src.ravel() * n_scales, dst.ravel() * n_scales
-        for i, j in itertools.product(range(n_scales), repeat=2):
-            if offset != (0, 0, 0) or i < j:
-                yield src + i, dst + j
+def _box_conflicts(centers: np.ndarray, diameters: np.ndarray, nms_iou: float):
+    # CSR conflict lists (offsets, neighbours), both int32, of boxes
+    # (centers, diameters): neighbours[offsets[i]:offsets[i + 1]] are the
+    # boxes whose IoU with box i exceeds nms_iou. Each candidate pair is
+    # tested once and listed in both directions.
+    edges, cubes = _box_arrays(centers, diameters)
+    src, dst = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for a, b in _sweep_pairs(edges):
+        hit = _conflict_matrix(edges, cubes, a, b, nms_iou)
+        src += [a[hit], b[hit]]
+        dst += [b[hit], a[hit]]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    offsets = np.zeros(len(cubes) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=len(cubes)), out=offsets[1:])
+    neighbours = dst[np.argsort(src, kind="stable")].astype(np.int32)
+    offsets.flags.writeable = neighbours.flags.writeable = False
+    return offsets, neighbours
 
 
 @functools.lru_cache(maxsize=4)
 def _grid_conflicts(lung_lo, lung_hi, stride: int, scales, nms_iou: float):
-    # conflict lists of the anchor grid that detector._anchor_grid lays over
-    # a lung box: they depend on the geometry only, so every volume with the
-    # same lung box shares one copy, O(anchors x neighbours) in size
-    axes = [np.arange(lo, hi, stride) for lo, hi in zip(lung_lo, lung_hi)]
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    centers = np.repeat(points, len(scales), axis=0).astype(np.float64)
-    diameters = np.tile(np.asarray(scales, dtype=np.float64), len(points))
-    edges, cubes = _box_arrays(centers, diameters)
-    # cubes whose centres lie reach * stride >= max(scales) >= r1 + r2 apart
-    # on an axis cannot overlap
-    reach = math.ceil(max(scales) / stride)
-    pairs = _lattice_pairs(tuple(map(len, axes)), len(scales), reach)
-    return _conflict_lists(len(centers), pairs, edges, cubes, nms_iou)
+    # conflict lists of the anchor grid over a lung box: they depend on the
+    # geometry only, so every volume with the same lung box shares one copy,
+    # O(anchors x neighbours) in size
+    return _box_conflicts(*anchor_geometry(lung_lo, lung_hi, stride, scales), nms_iou)
 
 
 def _greedy_nms(logits: np.ndarray, ids: np.ndarray, graph, logit_threshold: float) -> list[int]:
@@ -283,10 +260,9 @@ def filter_proposals(proposals, cfg: EmConfig) -> list[Proposal]:
     ``cfg.nms_iou``. Output keeps that descending order.
     """
     proposals = list(proposals)
-    edges, cubes = _box_arrays(
+    graph = _box_conflicts(
         np.array([p.box.center for p in proposals], dtype=np.float64).reshape(-1, 3),
-        np.array([p.box.diameter for p in proposals], dtype=np.float64))
-    graph = _conflict_lists(len(proposals), _sweep_pairs(edges), edges, cubes, cfg.nms_iou)
+        np.array([p.box.diameter for p in proposals], dtype=np.float64), cfg.nms_iou)
     kept = _greedy_nms(np.array([p.logit for p in proposals], dtype=np.float64),
                        np.array([p.anchor_id for p in proposals], dtype=np.int64),
                        graph, cfg.logit_threshold)

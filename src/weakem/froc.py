@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .synthvol import NoduleBox
 
 FP_RATES = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -56,41 +54,12 @@ class FrocResult:
 def match(detection: Detection, truths) -> int | None:
     """Index of the nearest truth whose center is strictly within radius of
     the detection center, or None. Distance ties take the lower index."""
-    truths = list(truths)
-    return _nearest(detection.box.center, truths, range(len(truths)))
-
-
-def _nearest(center, truths, candidates) -> int | None:
-    # match over the truth indices ``candidates``, taken in ascending order
     best, best_d = None, math.inf
-    for i in candidates:
-        t = truths[i]
-        d = math.dist(center, t.center)
+    for i, t in enumerate(truths):
+        d = math.dist(detection.box.center, t.center)
         if d < t.radius and d < best_d:
             best, best_d = i, d
     return best
-
-
-def _reachable(centers: np.ndarray, scan_ids: np.ndarray, truths) -> list:
-    # for each detection (a row of ``centers``, in scan ``scan_ids``), the
-    # indices of its scan's truths that it can match: the distance is at
-    # least every axis offset, so a truth is in reach only if each offset is
-    # below its radius. The radius is widened by 1e-9 relative so that
-    # rounding in math.dist can never drop a hit; padding is never in reach.
-    width = max(len(t) for t in truths)
-    truth_centers = np.zeros((len(truths), width, 3))
-    reach = np.full((len(truths), width), -1.0)
-    for s, scan_truths in enumerate(truths):
-        for i, t in enumerate(scan_truths):
-            truth_centers[s, i] = t.center
-            reach[s, i] = t.radius * (1.0 + 1e-9)
-    near = np.all(np.abs(centers[:, None, :] - truth_centers[scan_ids])
-                  <= reach[scan_ids][:, :, None], axis=2)
-    out: list = [()] * len(centers)
-    rows, cols = np.nonzero(near)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        out[r] += (c,)
-    return out
 
 
 def froc(detections, truths) -> FrocResult:
@@ -114,27 +83,26 @@ def froc(detections, truths) -> FrocResult:
     for det in detections:
         if det.scan_id >= n_scans:
             raise ValueError(f"detection refers to unknown scan {det.scan_id}")
-    columns = np.array([(d.score, d.scan_id, d.box.x, d.box.y, d.box.z, d.box.diameter)
-                        for d in detections], dtype=np.float64).reshape(-1, 6)
-    score, scan_id, x, y, z, diameter = columns.T
-    # stable sort by (-score, scan_id, x, y, z, diameter)
-    rank = np.lexsort((diameter, z, y, x, scan_id, -score))
-    order = [detections[k] for k in rank.tolist()]
-    reachable = _reachable(columns[rank, 2:5], scan_id[rank].astype(np.int64), truths)
+    order = sorted(detections, key=lambda d: (-d.score, d.scan_id, d.box.x, d.box.y,
+                                              d.box.z, d.box.diameter))
     claimed = [set() for _ in range(n_scans)]
     tp = 0
     fp = 0
     curve: list[CurvePoint] = []
-    for j, det in enumerate(order):
-        hit = (_nearest(det.box.center, truths[det.scan_id], reachable[j])
-               if reachable[j] else None)
-        if hit is None:
-            fp += 1
-        elif hit not in claimed[det.scan_id]:
-            claimed[det.scan_id].add(hit)
-            tp += 1
-        if j + 1 == len(order) or order[j + 1].score != det.score:
-            curve.append(CurvePoint(det.score, fp / n_scans, tp / total_truths))
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and order[j].score == order[i].score:
+            det = order[j]
+            hit = match(det, truths[det.scan_id])
+            if hit is None:
+                fp += 1
+            elif hit not in claimed[det.scan_id]:
+                claimed[det.scan_id].add(hit)
+                tp += 1
+            j += 1
+        curve.append(CurvePoint(order[i].score, fp / n_scans, tp / total_truths))
+        i = j
     sens = []
     for target in FP_RATES:
         best = 0.0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from weakem import em
 from weakem.detector import (DetectorParams, N_FEATURES, Proposal, _anchor_grid,
                              init_detector, propose, sigmoid)
 from weakem.em import (EmConfig, ModelParams, NoProposalsError, Posterior,
@@ -133,7 +134,7 @@ class TestFilterProposals:
                 want = nms_oracle(props, cfg)
                 assert [p.anchor_id for p in got] == [p.anchor_id for p in want]
 
-    def test_sweep_holds_each_overlapping_pair_once_at_any_chunk_size(self):
+    def test_sweep_holds_each_overlapping_pair_once_at_any_chunk_size(self, monkeypatch):
         props = random_proposals(np.random.default_rng(3), 80, spread=12.0)
         edges, _ = _box_arrays(np.array([p.box.center for p in props]),
                                np.array([p.box.diameter for p in props]))
@@ -141,7 +142,8 @@ class TestFilterProposals:
                        if iou_3d(props[i].box, props[j].box) > 0}
         assert len(overlapping) > 100
         for chunk in (1, 7, 1 << 16):
-            pairs = [tuple(sorted(ab)) for a, b in _sweep_pairs(edges, chunk)
+            monkeypatch.setattr(em, "_SWEEP_CHUNK", chunk)
+            pairs = [tuple(sorted(ab)) for a, b in _sweep_pairs(edges)
                      for ab in zip(a.tolist(), b.tolist())]
             assert len(pairs) == len(set(pairs))
             assert overlapping <= set(pairs)
