@@ -223,11 +223,6 @@ class AnchorGrid(NamedTuple):
     diameters: np.ndarray
     features: np.ndarray
 
-    def rows(self, ids: np.ndarray):
-        """Feature rows and scale indices of the given anchor ids."""
-        scale_ids = ids % len(self.features)
-        return self.features[scale_ids, ids // len(self.features)], scale_ids
-
     def box(self, anchor_id: int) -> NoduleBox:
         return NoduleBox(*self.centers[anchor_id].tolist(),
                          float(self.diameters[anchor_id]))
@@ -249,14 +244,19 @@ def _anchor_grid(volume: Volume, stride: int, scales) -> AnchorGrid:
     return grid
 
 
+def _scale_logits(features: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # (points, n scales) logits of per-scale feature matrices (n scales,
+    # points, N_FEATURES): one matrix-vector product per scale
+    logits = np.empty((features.shape[1], len(features)), dtype=np.float64)
+    for j in range(len(features)):
+        logits[:, j] = features[j] @ weights[:N_FEATURES] + weights[N_FEATURES + j]
+    return logits
+
+
 def grid_logits(volume: Volume, params: DetectorParams, stride: int) -> np.ndarray:
     """Logits of every anchor box as an (n grid points, n scales) array,
     rows in ``anchor_points`` order; row i scale j is anchor_id i*n_scales+j."""
-    feats = _anchor_grid(volume, stride, params.scales).features
-    logits = np.empty((feats.shape[1], len(params.scales)), dtype=np.float64)
-    for j in range(len(params.scales)):
-        logits[:, j] = feats[j] @ params.weights[:N_FEATURES] + params.weights[N_FEATURES + j]
-    return logits
+    return _scale_logits(_anchor_grid(volume, stride, params.scales).features, params.weights)
 
 
 def propose(volume: Volume, params: DetectorParams, stride: int) -> list[Proposal]:
@@ -280,22 +280,51 @@ def _scale_index(scales, diameter: float) -> int:
     return best
 
 
-def _cross_entropy(logits, feats, scale_ids, n_pos: int, weights):
-    # the supervised_loss objective of scored rows whose first n_pos are
-    # positives, and its gradient in weights
-    n_neg = len(logits) - n_pos
-    if not n_pos and not n_neg:
+class Examples(NamedTuple):
+    """Rows of the supervised objective: features (R, N_FEATURES), and the
+    scale index, 0/1 target and weight of each row."""
+
+    features: np.ndarray
+    scale_ids: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+
+
+def _examples(features, scale_ids, sizes) -> Examples:
+    # rows that come as (positives, negatives) pairs of groups, one pair per
+    # scan, with the group sizes in ``sizes``: each group's mean counts once
+    # per scan, and scans are averaged
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1, 2)
+    if not sizes.sum(axis=1).all():
         raise ValueError("need at least one positive or negative box")
-    pos, neg = logits[:n_pos], logits[n_pos:]
-    slopes = np.concatenate([(sigmoid(pos) - 1.0) / max(n_pos, 1),
-                             sigmoid(neg) / max(n_neg, 1)])
-    loss = 0.0
-    if n_pos:
-        loss -= float(np.mean(log_sigmoid(pos)))
-    if n_neg:
-        loss -= float(np.mean(log1m_sigmoid(neg)))
-    bias = np.bincount(scale_ids, weights=slopes, minlength=len(weights) - N_FEATURES)
-    return loss, np.concatenate([slopes @ feats, bias])
+    flat = sizes.ravel()
+    return Examples(features, scale_ids, np.repeat(np.tile([1.0, 0.0], len(sizes)), flat),
+                    np.repeat(1.0 / (len(sizes) * np.maximum(flat, 1)), flat))
+
+
+def _anchor_examples(features: np.ndarray, groups) -> Examples:
+    # Examples of anchors given as one (positive ids, negative ids) pair per
+    # scan, the ids indexing the per-scale features as anchor_ids do
+    groups = [np.asarray(ids, dtype=np.int64) for pair in groups for ids in pair]
+    ids = np.concatenate(groups)
+    scale_ids = ids % len(features)
+    return _examples(features[scale_ids, ids // len(features)], scale_ids,
+                     [len(g) for g in groups])
+
+
+def examples_loss(examples: Examples, params: DetectorParams):
+    """The supervised objective of ``examples`` under ``params``: the
+    weighted sum of the rows' cross-entropies, and its exact gradient in
+    ``params.weights``. Returns (loss, gradient)."""
+    weights = params.weights
+    logits = (examples.features @ weights[:N_FEATURES]
+              + weights[N_FEATURES:][examples.scale_ids])
+    signed = np.where(examples.targets > 0, logits, -logits)
+    loss = -float(examples.weights @ log_sigmoid(signed))
+    slopes = examples.weights * (sigmoid(logits) - examples.targets)
+    bias = np.bincount(examples.scale_ids, weights=slopes,
+                       minlength=len(weights) - N_FEATURES)
+    return loss, np.concatenate([slopes @ examples.features, bias])
 
 
 def supervised_loss(volume: Volume, positives, negatives, params: DetectorParams):
@@ -309,23 +338,20 @@ def supervised_loss(volume: Volume, positives, negatives, params: DetectorParams
     nearest its diameter. Returns (loss, gradient) where the gradient is
     taken in ``params.weights``.
     """
-    positives = list(positives)
-    boxes = positives + list(negatives)
+    positives, negatives = list(positives), list(negatives)
+    boxes = positives + negatives
     feats = np.array([extract_features(volume, b) for b in boxes]).reshape(-1, N_FEATURES)
     scale_ids = np.array([_scale_index(params.scales, b.diameter) for b in boxes],
                          dtype=np.int64)
-    logits = feats @ params.weights[:N_FEATURES] + params.weights[N_FEATURES:][scale_ids]
-    return _cross_entropy(logits, feats, scale_ids, len(positives), params.weights)
+    return examples_loss(_examples(feats, scale_ids, [len(positives), len(negatives)]), params)
 
 
 def anchor_loss(volume: Volume, positives, negatives, params: DetectorParams, stride: int):
-    """``supervised_loss`` of anchor boxes given by anchor_id: one gather of
-    their logits from ``grid_logits`` and their rows of the cached anchor
-    features. Returns (loss, gradient)."""
-    ids = np.concatenate([positives, negatives]).astype(np.int64)
-    feats, scale_ids = _anchor_grid(volume, stride, params.scales).rows(ids)
-    logits = grid_logits(volume, params, stride).ravel()[ids]
-    return _cross_entropy(logits, feats, scale_ids, len(positives), params.weights)
+    """``supervised_loss`` of anchor boxes given by anchor_id, scored from
+    their rows of the cached anchor features: the one-scan case of the
+    stacked supervised pass. Returns (loss, gradient)."""
+    features = _anchor_grid(volume, stride, params.scales).features
+    return examples_loss(_anchor_examples(features, [(positives, negatives)]), params)
 
 
 def sgd_step(params: DetectorParams, gradient, learning_rate: float) -> DetectorParams:
@@ -363,6 +389,49 @@ def _anchor_labels(volume: Volume, truths, stride: int, scales):
     return labels
 
 
+class AnchorStack(NamedTuple):
+    """The training anchors of fully labeled scans. ``features`` holds each
+    scan's grid features, scan after scan, so anchor ``i`` of a scan whose
+    points start at row ``r`` has stacked id ``r * n_scales + i``; per scan,
+    ``positives`` and ``candidates`` hold the stacked ids of its positive
+    and (ascending) candidate negative anchors, as ``_anchor_labels``
+    gives them."""
+
+    features: np.ndarray
+    positives: tuple
+    candidates: tuple
+
+
+def stack_anchors(labeled, stride: int, scales) -> AnchorStack:
+    """AnchorStack of (volume, truth boxes) pairs."""
+    features, positives, candidates = [], [], []
+    first = 0
+    for volume, truths in labeled:
+        grid = _anchor_grid(volume, stride, scales)
+        pos, cand = _anchor_labels(volume, truths, stride, scales)
+        positives.append(pos + first)
+        candidates.append(cand + first)
+        features.append(grid.features)
+        first += len(grid.diameters)
+    return AnchorStack(np.concatenate(features, axis=1), tuple(positives), tuple(candidates))
+
+
+def mine_negatives(stack: AnchorStack, params: DetectorParams) -> list[np.ndarray]:
+    """Each scan's negatives in stacked ids: its highest-logit candidates,
+    capped at twice its positive count and at least 2; ties in logit break
+    toward the lower id. All scans are scored by one product per scale."""
+    logits = _scale_logits(stack.features, params.weights).ravel()
+    # candidates ascend, so a stable sort breaks logit ties by id
+    return [cand[np.argsort(-logits[cand], kind="stable")[:max(2, 2 * len(pos))]]
+            for pos, cand in zip(stack.positives, stack.candidates)]
+
+
+def stacked_examples(stack: AnchorStack, params: DetectorParams) -> Examples:
+    """Examples of one supervised pass: each scan's positives and the
+    negatives ``mine_negatives`` picks under ``params``."""
+    return _anchor_examples(stack.features, zip(stack.positives, mine_negatives(stack, params)))
+
+
 def supervised_examples(volume: Volume, truths, params: DetectorParams, stride: int):
     """Training anchors of one fully labeled scan: (positive, negative) ids.
 
@@ -371,8 +440,7 @@ def supervised_examples(volume: Volume, truths, params: DetectorParams, stride: 
     to its nearest grid point. Negatives are the highest-logit anchors whose
     grid point is outside every truth radius, capped at twice the positive
     count and at least 2; ties in logit break toward the lower anchor_id.
+    This is the one-scan case of ``mine_negatives``.
     """
-    positives, candidates = _anchor_labels(volume, truths, stride, params.scales)
-    flat_logits = grid_logits(volume, params, stride).ravel()
-    k = max(2, 2 * len(positives))
-    return positives, candidates[np.lexsort((candidates, -flat_logits[candidates]))][:k]
+    stack = stack_anchors([(volume, truths)], stride, params.scales)
+    return stack.positives[0], mine_negatives(stack, params)[0]

@@ -21,10 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import froc as froc_mod
-# propose is not called here (see _scan_filtered) but stays importable as em.propose
+# propose and supervised_examples are not called here (see _scan_filtered and
+# _supervised_pass) but stay importable as em.propose and em.supervised_examples
 from .detector import (DetectorParams, Proposal, _anchor_grid, anchor_geometry,  # noqa: F401
-                       anchor_loss, grid_logits, init_detector, log_sigmoid, propose, sgd_step,
-                       sigmoid, supervised_examples, supervised_loss)
+                       examples_loss, grid_logits, init_detector, log_sigmoid, propose,
+                       sgd_step, sigmoid, stack_anchors, stacked_examples, supervised_examples,
+                       supervised_loss)
 from .froc import Detection, FrocResult
 from .synthvol import LabeledScan, NoduleBox, Volume, WeakLabel, lobe_of
 from .weaklik import (DEFAULT_MU, DEFAULT_SIGMA_FLOOR, HalfGaussianParams, LobeParams,
@@ -417,29 +419,31 @@ def _backtrack(step_to, loss_at, loss0: float, step: float):
     return candidate
 
 
-def _supervised_pass(d_full, params: ModelParams, cfg: EmConfig,
-                     lr_scale: float = 1.0):
-    # one full-batch step per pass: per-scan losses and gradients are
-    # averaged over the dataset, then the step is backtracked (halved) until
-    # the loss on the examples mined this pass does not increase. The mined
-    # hard-negative set flips between passes, which sustains a bounded
-    # oscillation at constant step size; the caller anneals lr_scale so the
-    # oscillation dies out while the stable feature weights keep their
-    # equilibrium.
+def _stack_full_set(d_full, cfg: EmConfig):
+    # what every supervised pass reads of the fully labeled scans, built
+    # once: their stacked training anchors, and the (true lobe, truth box,
+    # volume) pairs of the lobe model
+    return (stack_anchors(((scan.volume, scan.truth) for scan in d_full), cfg.stride,
+                          cfg.anchor_scales),
+            [(lobe_of(t.center, scan.volume), t, scan.volume)
+             for scan in d_full for t in scan.truth])
+
+
+def _supervised_pass(full_set, params: ModelParams, cfg: EmConfig, lr_scale: float = 1.0):
+    # one full-batch step per pass over _stack_full_set's output: the loss
+    # is the mean over scans of each scan's loss on the examples mined this
+    # pass, and the step is backtracked (halved) until that loss does not
+    # increase. The mined hard-negative set flips between passes, which
+    # sustains a bounded oscillation at constant step size; the caller
+    # anneals lr_scale so the oscillation dies out while the stable feature
+    # weights keep their equilibrium.
+    anchors, lobe_pairs = full_set
     detector = params.detector
-    mined = [(scan.volume, *supervised_examples(scan.volume, scan.truth, detector, cfg.stride))
-             for scan in d_full]
-    lobe_pairs = [(lobe_of(t.center, scan.volume), t, scan.volume)
-                  for scan in d_full for t in scan.truth]
-    scored = [anchor_loss(v, p, n, detector, cfg.stride) for v, p, n in mined]
-    mean_loss = float(np.mean([loss for loss, _ in scored])) if scored else 0.0
-    if scored:
-        grad = np.mean([g for _, g in scored], axis=0)
-        detector = _backtrack(
-            lambda step: sgd_step(detector, grad, step),
-            lambda cand: float(np.mean([anchor_loss(v, p, n, cand, cfg.stride)[0]
-                                        for v, p, n in mined])),
-            mean_loss, cfg.lr_detector * lr_scale)
+    examples = stacked_examples(anchors, detector)
+    mean_loss, grad = examples_loss(examples, detector)
+    detector = _backtrack(lambda step: sgd_step(detector, grad, step),
+                          lambda cand: examples_loss(examples, cand)[0],
+                          mean_loss, cfg.lr_detector * lr_scale)
     lobe = params.lobe
     if lobe_pairs:
         nll, lobe_grad = lobe_objective(lobe_pairs, lobe)
@@ -528,9 +532,10 @@ def train_em(d_full, d_weak, d_val, cfg: EmConfig, rng=0) -> TrainResult:
         raise ValueError("need at least one fully labeled scan")
     rng = np.random.default_rng(rng)
     params = initialize_params(d_full, cfg)
+    full_set = _stack_full_set(d_full, cfg)
     onset = max(1, -(-cfg.init_epochs // 3))
     for t in range(1, cfg.init_epochs + 1):
-        params, _ = _supervised_pass(d_full, params, cfg, min(1.0, onset / t))
+        params, _ = _supervised_pass(full_set, params, cfg, min(1.0, onset / t))
     history: list[EpochMetrics] = []
     for epoch in range(1, cfg.epochs + 1):
         scale = onset / (cfg.init_epochs + epoch)
@@ -546,7 +551,7 @@ def train_em(d_full, d_weak, d_val, cfg: EmConfig, rng=0) -> TrainResult:
                 skipped += s
                 batch.append((scan.volume, weak_boxes, negatives))
             params = _weak_batch_m_step(batch, params, cfg, scale)
-        params, mean_loss = _supervised_pass(d_full, params, cfg, scale)
+        params, mean_loss = _supervised_pass(full_set, params, cfg, scale)
         if not math.isfinite(mean_loss):
             raise NumericError(f"supervised loss became non-finite at epoch {epoch}")
         froc_avg = evaluate_froc(d_val, params, cfg).average if d_val else float("nan")

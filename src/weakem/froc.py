@@ -9,6 +9,7 @@ number is the mean sensitivity at seven standard fp-per-scan targets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .synthvol import NoduleBox
@@ -103,12 +104,15 @@ def froc(detections, truths) -> FrocResult:
             j += 1
         curve.append(CurvePoint(order[i].score, fp / n_scans, tp / total_truths))
         i = j
-    sens = []
-    for target in FP_RATES:
-        best = 0.0
-        for point in curve:
-            if point.fp_per_scan <= target:
-                best = max(best, point.sensitivity)
-        sens.append(best)
-    sens = tuple(sens)
+    sens = sensitivity_at(curve, FP_RATES)
     return FrocResult(FP_RATES, sens, sum(sens) / len(sens), curve)
+
+
+def sensitivity_at(curve, fp_rates) -> tuple:
+    """Sensitivity at each fp-per-scan target: the largest sensitivity of a
+    curve point with fp per scan at or below the target, or 0.0 if there is
+    none. Neither column falls along the curve, so that is the last such
+    point, found by bisection."""
+    fps = [point.fp_per_scan for point in curve]
+    return tuple(curve[i - 1].sensitivity if i else 0.0
+                 for i in (bisect_right(fps, target) for target in fp_rates))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from weakem.detector import (DetectorParams, N_FEATURES, anchor_loss, anchor_points,
-                             extract_features, init_detector, log1m_sigmoid, log_sigmoid,
-                             propose, sgd_step, sigmoid, supervised_examples,
+                             examples_loss, extract_features, grid_logits, init_detector,
+                             log1m_sigmoid, log_sigmoid, mine_negatives, propose, sgd_step,
+                             sigmoid, stack_anchors, stacked_examples, supervised_examples,
                              supervised_loss)
 from weakem.synthvol import GeneratorConfig, NoduleBox, Volume, generate_scan
 
@@ -310,6 +311,76 @@ class TestAnchorLoss:
         boxes = [NoduleBox(6.0 + 0.4 * i, 12.0, 16.0, 6.0) for i in range(50)]
         supervised_loss(scan.volume, boxes[:20], boxes[20:], params)
         assert len(scan.volume._cache) == before
+
+
+def mixed_labeled_scans():
+    # (volume, truths) pairs with different lung boxes: two generated scans,
+    # a scan with no truths (k = 2), and a small lung whose one truth covers
+    # 7 of its 8 grid points, leaving 2 candidates for k = 14
+    rng = np.random.default_rng(21)
+    a = generate_scan(37, GeneratorConfig(count_min=2, count_max=3))
+    b = generate_scan(38, GeneratorConfig(dims=(28, 32, 24), count_min=1, count_max=1))
+    empty = generate_scan(39, GeneratorConfig(count_min=0, count_max=0))
+    small = Volume(rng.random((12, 12, 12)).astype(np.float32), (2, 2, 2), (10, 10, 10))
+    return [(a.volume, a.truth), (b.volume, b.truth), (empty.volume, []),
+            (small, [NoduleBox(3.0, 3.0, 3.0, 9.0)])]
+
+
+def per_scan_negatives(volume, truths, params, stride):
+    # each scan's negatives without the stack: lowest (-logit, anchor_id) of
+    # the anchors whose grid point lies outside every truth radius
+    pts = anchor_points(volume, stride)
+    outside = np.ones(len(pts), dtype=bool)
+    for t in truths:
+        outside &= ((pts - np.asarray(t.center)) ** 2).sum(axis=1) > t.radius ** 2
+    candidates = np.flatnonzero(np.repeat(outside, len(params.scales)))
+    logits = grid_logits(volume, params, stride).ravel()[candidates]
+    positives, _ = supervised_examples(volume, truths, params, stride)
+    return candidates[np.lexsort((candidates, -logits))][:max(2, 2 * len(positives))]
+
+
+class TestStackedPass:
+    scales, stride = (5.0, 8.0), 4
+
+    def stack(self, labeled):
+        stack = stack_anchors(labeled, self.stride, self.scales)
+        firsts = np.cumsum([0] + [len(anchor_points(v, self.stride)) * len(self.scales)
+                                  for v, _ in labeled])
+        return stack, firsts
+
+    def test_loss_and_gradient_are_the_mean_over_scans(self):
+        labeled = mixed_labeled_scans()
+        stack, _ = self.stack(labeled)
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            params = DetectorParams(rng.normal(scale=0.8, size=N_FEATURES + 2), self.scales)
+            loss, grad = examples_loss(stacked_examples(stack, params), params)
+            scored = [anchor_loss(v, *supervised_examples(v, truths, params, self.stride),
+                                  params, self.stride) for v, truths in labeled]
+            assert loss == pytest.approx(np.mean([l for l, _ in scored]), rel=1e-12)
+            np.testing.assert_allclose(grad, np.mean([g for _, g in scored], axis=0),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_mined_negatives_equal_each_scans_own(self):
+        labeled = mixed_labeled_scans()
+        stack, firsts = self.stack(labeled)
+        rng = np.random.default_rng(23)
+        tied = [np.zeros(N_FEATURES + 2), np.r_[np.zeros(N_FEATURES), -1.0, 1.0],
+                np.r_[np.zeros(4), 1.0, np.zeros(5)]]
+        for weights in tied + [rng.normal(scale=0.8, size=N_FEATURES + 2) for _ in range(3)]:
+            # the tied logits (all, per scale, per x) break by anchor_id alone
+            params = DetectorParams(weights, self.scales)
+            mined = mine_negatives(stack, params)
+            for (v, truths), first, positives, negatives in zip(labeled, firsts, stack.positives,
+                                                                 mined):
+                own = supervised_examples(v, truths, params, self.stride)
+                np.testing.assert_array_equal(positives - first, own[0])
+                np.testing.assert_array_equal(negatives - first, own[1])
+                np.testing.assert_array_equal(own[1], per_scan_negatives(v, truths, params,
+                                                                         self.stride))
+        assert [len(p) for p in stack.positives[2:]] == [0, 7]
+        assert [len(c) for c in stack.candidates[2:]] == [firsts[3] - firsts[2], 2]
+        assert [len(n) for n in mined[2:]] == [2, 2]
 
 
 class TestDetectorParams:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from weakem import em
-from weakem.detector import (DetectorParams, N_FEATURES, Proposal, _anchor_grid,
-                             init_detector, propose, sigmoid)
+from weakem.detector import (DetectorParams, N_FEATURES, Proposal, _anchor_grid, anchor_loss,
+                             init_detector, propose, sigmoid, supervised_examples)
 from weakem.em import (EmConfig, ModelParams, NoProposalsError, Posterior,
                        _box_arrays, _grid_conflicts, _scan_filtered, _supervised_pass,
                        _sweep_pairs, _weak_batch_m_step, evaluate_froc,
@@ -503,10 +503,27 @@ class TestSupervisedPass:
         pairs = [(lobe_of(t.center, s.volume), t, s.volume) for s in d_full for t in s.truth]
         model = initialize_params(d_full, cfg)
         for _ in range(3):
-            stepped, _ = _supervised_pass(d_full, model, cfg)
+            stepped, _ = _supervised_pass(em._stack_full_set(d_full, cfg), model, cfg)
             assert not np.array_equal(stepped.lobe.theta, model.lobe.theta)
             assert lobe_objective(pairs, stepped.lobe)[0] <= lobe_objective(pairs, model.lobe)[0]
             model = stepped
+
+    def test_detector_steps_along_the_mean_of_per_scan_gradients(self):
+        d_full = make_dataset(4, seed0=46, weak=True)
+        cfg = EmConfig()
+        detector = DetectorParams(np.random.default_rng(5).normal(scale=0.5,
+                                                                  size=N_FEATURES + 2),
+                                  cfg.anchor_scales)
+        model = dataclasses.replace(initialize_params(d_full, cfg), detector=detector)
+        stepped, loss = _supervised_pass(em._stack_full_set(d_full, cfg), model, cfg, 0.25)
+        scored = [anchor_loss(s.volume, *supervised_examples(s.volume, s.truth, detector,
+                                                             cfg.stride), detector, cfg.stride)
+                  for s in d_full]
+        assert loss == pytest.approx(np.mean([l for l, _ in scored]), rel=1e-12)
+        grad = np.mean([g for _, g in scored], axis=0)
+        moved = detector.weights - stepped.detector.weights
+        assert any(np.allclose(moved, cfg.lr_detector * 0.25 / 2 ** k * grad, rtol=1e-9, atol=0.0)
+                   for k in range(em._MAX_HALVINGS))
 
 
 class TestTrainEm:

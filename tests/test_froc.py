@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from weakem.froc import FP_RATES, Detection, froc, match
+from weakem.froc import FP_RATES, CurvePoint, Detection, froc, match, sensitivity_at
 from weakem.synthvol import NoduleBox
 
 
@@ -221,3 +221,33 @@ class TestFrocMatchesScalarMatch:
             result = froc(detections, truths)
             assert [(p.threshold, p.fp_per_scan, p.sensitivity) for p in result.curve] == points
         assert any(credited) and not all(credited)
+
+
+def scanned_read_out(curve, targets):
+    # the read-out curve point by curve point: best sensitivity within each target
+    sens = []
+    for target in targets:
+        best = 0.0
+        for point in curve:
+            if point.fp_per_scan <= target:
+                best = max(best, point.sensitivity)
+        sens.append(best)
+    return tuple(sens)
+
+
+class TestSensitivityAt:
+    def test_equals_scanning_the_whole_curve(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            # non-decreasing columns with repeats, as a FROC sweep makes them
+            fps = np.cumsum(rng.integers(0, 3, size=n) * rng.uniform(0.0, 1.0, size=n)) / 4
+            sens = np.cumsum(rng.integers(0, 2, size=n)) / max(n, 1)
+            curve = [CurvePoint(1.0 - k / (n + 1), float(f), float(s))
+                     for k, (f, s) in enumerate(zip(fps, sens))]
+            targets = list(FP_RATES) + rng.uniform(-1.0, 12.0, size=8).tolist()
+            if n:
+                # below the first point, on points, and above the last
+                targets += [float(fps[0]) - 1e-9, float(fps[-1]) + 1.0,
+                            float(fps[rng.integers(n)]), float(fps[0])]
+            assert sensitivity_at(curve, targets) == scanned_read_out(curve, targets)
