@@ -36,11 +36,6 @@ def log_sigmoid(x):
     return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
 
 
-def log1m_sigmoid(x):
-    # log(1 - sigmoid(x)), stable for large positive x
-    return -np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
-
-
 @dataclass(frozen=True)
 class Proposal:
     """One scored candidate box from the anchor grid."""
@@ -421,9 +416,19 @@ def mine_negatives(stack: AnchorStack, params: DetectorParams) -> list[np.ndarra
     capped at twice its positive count and at least 2; ties in logit break
     toward the lower id. All scans are scored by one product per scale."""
     logits = _scale_logits(stack.features, params.weights).ravel()
-    # candidates ascend, so a stable sort breaks logit ties by id
-    return [cand[np.argsort(-logits[cand], kind="stable")[:max(2, 2 * len(pos))]]
+    # candidates ascend, so a stable order breaks logit ties by id
+    return [cand[_stable_smallest(-logits[cand], max(2, 2 * len(pos)))]
             for pos, cand in zip(stack.positives, stack.candidates)]
+
+
+def _stable_smallest(keys: np.ndarray, k: int) -> np.ndarray:
+    # np.argsort(keys, kind="stable")[:k], sorting only the keys at or below
+    # the k-th smallest: those hold the first k, ties by position included
+    if k < len(keys):
+        head = np.flatnonzero(keys <= np.partition(keys, k - 1)[k - 1])
+        if len(head) >= k:  # fewer only when NaNs fill the k-th place
+            return head[np.argsort(keys[head], kind="stable")[:k]]
+    return np.argsort(keys, kind="stable")[:k]
 
 
 def stacked_examples(stack: AnchorStack, params: DetectorParams) -> Examples:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import froc as froc_mod
-# propose and supervised_examples are not called here (see _scan_filtered and
+# propose and supervised_examples are not called here (see _scan_kept and
 # _supervised_pass) but stay importable as em.propose and em.supervised_examples
 from .detector import (DetectorParams, Proposal, _anchor_grid, anchor_geometry,  # noqa: F401
                        examples_loss, grid_logits, init_detector, log_sigmoid, propose,
@@ -238,10 +238,11 @@ def _grid_conflicts(lung_lo, lung_hi, stride: int, scales, nms_iou: float):
     return _box_conflicts(*anchor_geometry(lung_lo, lung_hi, stride, scales), nms_iou)
 
 
-def _greedy_nms(logits: np.ndarray, ids: np.ndarray, graph, logit_threshold: float) -> list[int]:
+def _greedy_nms(logits: np.ndarray, ids: np.ndarray, graph, logit_threshold: float) -> np.ndarray:
     # rows kept by the logit threshold and greedy NMS over the conflict lists
-    # ``graph``: by descending logit, ties by ``ids``, a row is kept unless a
-    # kept row already suppressed it, and suppresses its neighbours
+    # ``graph``, as int64 in the order kept: by descending logit, ties by
+    # ``ids``, a row is kept unless a kept row already suppressed it, and
+    # suppresses its neighbours
     offsets, neighbours = (memoryview(a) for a in graph)
     alive = np.flatnonzero(logits >= logit_threshold)
     suppressed = bytearray(len(logits))
@@ -251,7 +252,7 @@ def _greedy_nms(logits: np.ndarray, ids: np.ndarray, graph, logit_threshold: flo
             kept.append(i)
             for j in neighbours[offsets[i]:offsets[i + 1]]:
                 suppressed[j] = 1
-    return kept
+    return np.array(kept, dtype=np.int64)
 
 
 def filter_proposals(proposals, cfg: EmConfig) -> list[Proposal]:
@@ -268,19 +269,25 @@ def filter_proposals(proposals, cfg: EmConfig) -> list[Proposal]:
     kept = _greedy_nms(np.array([p.logit for p in proposals], dtype=np.float64),
                        np.array([p.anchor_id for p in proposals], dtype=np.int64),
                        graph, cfg.logit_threshold)
-    return [proposals[i] for i in kept]
+    return [proposals[i] for i in kept.tolist()]
 
 
-def _scan_filtered(volume: Volume, params: ModelParams, cfg: EmConfig) -> list[Proposal]:
-    # filter_proposals(propose(...)) from the cached grid arrays and the
-    # shared conflict lists of the volume's lung box: only kept anchors
-    # become Proposals
-    scales = params.detector.scales
-    grid = _anchor_grid(volume, cfg.stride, scales)
+def _scan_filtered(volume: Volume, params: ModelParams, cfg: EmConfig,
+                   logits: np.ndarray) -> np.ndarray:
+    # the anchor ids filter_proposals(propose(...)) keeps, in its order, given
+    # the volume's flat grid logits, over the shared conflict lists of its
+    # lung box
+    graph = _grid_conflicts(volume.lung_lo, volume.lung_hi, cfg.stride,
+                            params.detector.scales, cfg.nms_iou)
+    return _greedy_nms(logits, np.arange(len(logits)), graph, cfg.logit_threshold)
+
+
+def _scan_kept(volume: Volume, params: ModelParams, cfg: EmConfig):
+    # (anchor grid, kept anchor ids, flat grid logits) of a volume, from one
+    # logit product
     logits = grid_logits(volume, params.detector, cfg.stride).ravel()
-    graph = _grid_conflicts(volume.lung_lo, volume.lung_hi, cfg.stride, scales, cfg.nms_iou)
-    kept = _greedy_nms(logits, np.arange(len(logits)), graph, cfg.logit_threshold)
-    return [Proposal(grid.box(i), float(logits[i]), i) for i in kept]
+    return (_anchor_grid(volume, cfg.stride, params.detector.scales),
+            _scan_filtered(volume, params, cfg, logits), logits)
 
 
 def posterior(proposals, weak: WeakLabel, volume: Volume,
@@ -392,31 +399,41 @@ class TrainResult:
 def scan_detections(volume: Volume, params: ModelParams, cfg: EmConfig,
                     scan_id: int = 0) -> list[Detection]:
     """Propose, filter, and score one scan."""
-    kept = _scan_filtered(volume, params, cfg)
-    scores = sigmoid(np.array([p.logit for p in kept], dtype=np.float64))
-    return [Detection(scan_id, p.box, score) for p, score in zip(kept, scores.tolist())]
+    grid, kept, logits = _scan_kept(volume, params, cfg)
+    return [Detection(scan_id, grid.box(i), score)
+            for i, score in zip(kept.tolist(), sigmoid(logits[kept]).tolist())]
 
 
 def evaluate_froc(scans, params: ModelParams, cfg: EmConfig) -> FrocResult:
-    """FROC of the current detector over a labeled dataset."""
-    detections: list[Detection] = []
+    """FROC of the current detector over a labeled dataset: the detections
+    of ``scan_detections``, kept as arrays from the NMS output on."""
+    scans = list(scans)
+    scan_ids, centers, scores = [np.zeros(0, np.int64)], [np.zeros((0, 3))], [np.zeros(0)]
     for i, scan in enumerate(scans):
-        detections.extend(scan_detections(scan.volume, params, cfg, scan_id=i))
-    return froc_mod.froc(detections, [scan.truth for scan in scans])
+        grid, kept, logits = _scan_kept(scan.volume, params, cfg)
+        scan_ids.append(np.full(len(kept), i, dtype=np.int64))
+        centers.append(grid.centers[kept])
+        scores.append(sigmoid(logits[kept]))
+    return froc_mod.froc_arrays(np.concatenate(scan_ids), np.concatenate(centers),
+                                np.concatenate(scores), [scan.truth for scan in scans])
 
 
 _MAX_HALVINGS = 20
 
 
 def _backtrack(step_to, loss_at, loss0: float, step: float):
-    # halve the step until the candidate's loss does not exceed loss0; after
-    # _MAX_HALVINGS tries the last candidate is taken as it is
+    # halve the step until the candidate's loss does not exceed loss0; a
+    # non-finite loss0, or _MAX_HALVINGS tries that all raise the loss, is a
+    # NumericError
+    if not math.isfinite(loss0):
+        raise NumericError(f"training loss became non-finite ({loss0!r})")
     for _ in range(_MAX_HALVINGS):
         candidate = step_to(step)
         if loss_at(candidate) <= loss0:
-            break
+            return candidate
         step /= 2.0
-    return candidate
+    raise NumericError(f"{_MAX_HALVINGS} step halvings down to {step * 2.0!r} "
+                       f"all raised the loss above {loss0!r}")
 
 
 def _stack_full_set(d_full, cfg: EmConfig):
@@ -456,7 +473,8 @@ def _supervised_pass(full_set, params: ModelParams, cfg: EmConfig, lr_scale: flo
 def _weak_scan_estep(scan: LabeledScan, params: ModelParams, cfg: EmConfig,
                      rng: np.random.Generator):
     # E-step for one weak scan under frozen params; truth is never consulted
-    filtered = _scan_filtered(scan.volume, params, cfg)
+    grid, kept, logits = _scan_kept(scan.volume, params, cfg)
+    filtered = [Proposal(grid.box(i), float(logits[i]), i) for i in kept.tolist()]
     weak_boxes: list[tuple[WeakLabel, NoduleBox]] = []
     used = skipped = 0
     for w in scan.weak:
@@ -523,7 +541,9 @@ def train_em(d_full, d_weak, d_val, cfg: EmConfig, rng=0) -> TrainResult:
     must begin only once that oscillation has been damped, or inferred
     positives from the still-unsettled detector poison the model. With
     ``d_weak`` empty the trajectory is exactly the supervised-only one for
-    the same seed. Deterministic given (inputs, cfg, seed).
+    the same seed. Deterministic given (inputs, cfg, seed). Raises
+    NumericError when a supervised pass's loss is non-finite or no halving
+    of its step keeps the loss from rising.
     """
     cfg.validate()
     d_full, d_weak = list(d_full), list(d_weak)
@@ -552,8 +572,6 @@ def train_em(d_full, d_weak, d_val, cfg: EmConfig, rng=0) -> TrainResult:
                 batch.append((scan.volume, weak_boxes, negatives))
             params = _weak_batch_m_step(batch, params, cfg, scale)
         params, mean_loss = _supervised_pass(full_set, params, cfg, scale)
-        if not math.isfinite(mean_loss):
-            raise NumericError(f"supervised loss became non-finite at epoch {epoch}")
         froc_avg = evaluate_froc(d_val, params, cfg).average if d_val else float("nan")
         history.append(EpochMetrics(epoch, mean_loss, used, skipped, froc_avg))
     return TrainResult(params, history)

@@ -12,6 +12,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .synthvol import NoduleBox
 
 FP_RATES = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -55,12 +57,51 @@ class FrocResult:
 def match(detection: Detection, truths) -> int | None:
     """Index of the nearest truth whose center is strictly within radius of
     the detection center, or None. Distance ties take the lower index."""
+    return _nearest(detection.box.center, truths)
+
+
+def _nearest(center, truths) -> int | None:
+    # match of a bare center
     best, best_d = None, math.inf
     for i, t in enumerate(truths):
-        d = math.dist(detection.box.center, t.center)
+        d = math.dist(center, t.center)
         if d < t.radius and d < best_d:
             best, best_d = i, d
     return best
+
+
+# relative margin within which the array distance test leaves a decision to
+# _nearest: numpy's sum of squares and sqrt may round differently from
+# math.dist, but by a few ulps, far below this
+_CLOSE = 1e-9
+
+
+def _hits(scan_ids: np.ndarray, centers: np.ndarray, truths) -> np.ndarray:
+    # index of each detection's matched truth among all truths, scan after
+    # scan, or -1; decides as _nearest does
+    counts = np.array([len(t) for t in truths], dtype=np.int64)
+    width = int(counts.max())
+    truth_centers = np.zeros((len(truths), width, 3))
+    radii = np.zeros((len(truths), width))
+    for s, scan_truths in enumerate(truths):
+        for k, t in enumerate(scan_truths):
+            truth_centers[s, k] = t.center
+            radii[s, k] = t.radius
+    real = np.arange(width) < counts[scan_ids, None]
+    r = radii[scan_ids]
+    d = np.sqrt(((centers[:, None, :] - truth_centers[scan_ids]) ** 2).sum(axis=2))
+    inside = np.where(real & (d < r), d, np.inf)
+    nearest = np.sort(inside, axis=1)
+    unclear = (real & (np.abs(d - r) <= _CLOSE * r)).any(axis=1)
+    if width > 1:
+        second = nearest[:, 1]
+        unclear |= np.isfinite(second) & (nearest[:, 0] >= (1.0 - _CLOSE) * second)
+    hit = np.where(np.isfinite(nearest[:, 0]), np.argmin(inside, axis=1), -1)
+    for n in np.flatnonzero(unclear).tolist():
+        k = _nearest(centers[n].tolist(), truths[scan_ids[n]])
+        hit[n] = -1 if k is None else k
+    first = np.cumsum(counts) - counts
+    return np.where(hit >= 0, first[scan_ids] + hit, -1)
 
 
 def froc(detections, truths) -> FrocResult:
@@ -73,6 +114,16 @@ def froc(detections, truths) -> FrocResult:
     false positives. Sensitivity at a target fp rate is read from the
     staircase point with the largest fp per scan not exceeding the target.
     """
+    detections = list(detections)
+    return froc_arrays(np.array([d.scan_id for d in detections], dtype=np.int64),
+                       np.array([d.box.center for d in detections],
+                                dtype=np.float64).reshape(-1, 3),
+                       np.array([d.score for d in detections], dtype=np.float64), truths)
+
+
+def froc_arrays(scan_ids, centers, scores, truths) -> FrocResult:
+    """``froc`` of detections given as arrays: the scan index (n,), center
+    (n, 3) and score (n,) of each."""
     truths = [list(t) for t in truths]
     n_scans = len(truths)
     if n_scans == 0:
@@ -80,30 +131,21 @@ def froc(detections, truths) -> FrocResult:
     total_truths = sum(len(t) for t in truths)
     if total_truths == 0:
         raise ValueError("need at least one truth box")
-    detections = list(detections)
-    for det in detections:
-        if det.scan_id >= n_scans:
-            raise ValueError(f"detection refers to unknown scan {det.scan_id}")
-    order = sorted(detections, key=lambda d: (-d.score, d.scan_id, d.box.x, d.box.y,
-                                              d.box.z, d.box.diameter))
-    claimed = [set() for _ in range(n_scans)]
-    tp = 0
-    fp = 0
-    curve: list[CurvePoint] = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and order[j].score == order[i].score:
-            det = order[j]
-            hit = match(det, truths[det.scan_id])
-            if hit is None:
-                fp += 1
-            elif hit not in claimed[det.scan_id]:
-                claimed[det.scan_id].add(hit)
-                tp += 1
-            j += 1
-        curve.append(CurvePoint(order[i].score, fp / n_scans, tp / total_truths))
-        i = j
+    unknown = scan_ids[(scan_ids < 0) | (scan_ids >= n_scans)]
+    if len(unknown):
+        raise ValueError(f"detection refers to unknown scan {unknown[0]}")
+    # a curve point is read only at the end of each group of equal scores,
+    # so the order inside a group cannot change the curve
+    order = np.argsort(-scores, kind="stable")
+    scores = scores[order]
+    hit = _hits(scan_ids, centers, truths)[order]
+    matched = hit >= 0
+    credits = np.zeros(len(hit), dtype=np.int64)  # 1 where a truth is credited first
+    credits[np.flatnonzero(matched)[np.unique(hit[matched], return_index=True)[1]]] = 1
+    last = np.flatnonzero(np.r_[scores[1:] != scores[:-1], True]) if len(scores) else []
+    curve = [CurvePoint(*point) for point in zip(
+        scores[last].tolist(), (np.cumsum(~matched)[last] / n_scans).tolist(),
+        (np.cumsum(credits)[last] / total_truths).tolist())]
     sens = sensitivity_at(curve, FP_RATES)
     return FrocResult(FP_RATES, sens, sum(sens) / len(sens), curve)
 

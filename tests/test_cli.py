@@ -1,6 +1,7 @@
 """End-to-end command line tests: generate, train, eval, report, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestTrain:
         code = main(["train", "--config", cfg, "--out", out])
         assert code == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_diverging_step_search_exits_numeric(self, tmp_path, capsys):
+        # a warm start whose every halved step raises the loss
+        cfg = write_config(tmp_path / "exp.json",
+                           {**SMOKE, "em": {**SMOKE["em"], "lr_detector": 1e308}})
+        out = str(tmp_path / "out")
+        assert main(["generate", "--config", cfg, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--mode", "baseline", "--out", out]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: 20 step halvings") and "Traceback" not in err
+        assert not list(Path(out).glob("checkpoint_*"))
 
 
 class TestEval:

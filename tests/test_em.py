@@ -9,13 +9,14 @@ import pytest
 from weakem import em
 from weakem.detector import (DetectorParams, N_FEATURES, Proposal, _anchor_grid, anchor_loss,
                              init_detector, propose, sigmoid, supervised_examples)
-from weakem.em import (EmConfig, ModelParams, NoProposalsError, Posterior,
-                       _box_arrays, _grid_conflicts, _scan_filtered, _supervised_pass,
+from weakem.em import (EmConfig, ModelParams, NoProposalsError, NumericError, Posterior,
+                       _box_arrays, _grid_conflicts, _scan_kept, _supervised_pass,
                        _sweep_pairs, _weak_batch_m_step, evaluate_froc,
                        filter_proposals, hard_negatives, infer_map, infer_sampling,
                        initialize_params, iou_3d, load_checkpoint, posterior, q_value,
                        read_metrics_csv, save_checkpoint, scan_detections, train_em,
                        weak_m_step, write_metrics_csv)
+from weakem.froc import froc
 from weakem.synthvol import (GeneratorConfig, NoduleBox, Volume, WeakLabel,
                              attach_weak_labels, generate_scan, lobe_of)
 from weakem.weaklik import (HalfGaussianParams, LobeParams, init_lobe_params,
@@ -175,7 +176,8 @@ class TestScanDetections:
             weights = rng.normal(scale=scale, size=N_FEATURES + 2)
             params = ModelParams(DetectorParams(weights, (5.0, 8.0)),
                                  init_lobe_params(), HalfGaussianParams(1.5, 1.63))
-            kept = _scan_filtered(scan.volume, params, cfg)
+            proposals = propose(scan.volume, params.detector, cfg.stride)
+            kept = [proposals[i] for i in _scan_kept(scan.volume, params, cfg)[1].tolist()]
             got = scan_detections(scan.volume, params, cfg)
             assert len(got) == len(kept) > 1
             assert [d.score.hex() for d in got] == [p.probability.hex() for p in kept]
@@ -251,7 +253,10 @@ class TestConflictGraph:
                 cfg = EmConfig(logit_threshold=threshold, nms_iou=nms_iou, stride=stride,
                                anchor_scales=scales)
                 want = nms_oracle(proposals, cfg)
-                assert _scan_filtered(volume, params, cfg) == want
+                _, got, logits = _scan_kept(volume, params, cfg)
+                assert got.dtype == np.int64
+                assert got.tolist() == [p.anchor_id for p in want]
+                assert logits.tolist() == [p.logit for p in proposals]
                 kept.append(len(want))
         assert max(kept) > 1
 
@@ -571,6 +576,28 @@ class TestTrainEm:
         with pytest.raises(ValueError):
             train_em([], [], [], EmConfig())
 
+    # (init_epochs, epochs): the only supervised passes are warm-start ones,
+    # or the only one is an EM epoch's
+    PHASES = pytest.mark.parametrize("init_epochs, epochs", [(2, 0), (0, 1)],
+                                     ids=["warm-start", "em-epoch"])
+
+    @PHASES
+    def test_exhausted_backtracking_is_a_numeric_error(self, init_epochs, epochs):
+        d_full, _, _, cfg = self.small_world()
+        cfg = dataclasses.replace(cfg, init_epochs=init_epochs, epochs=epochs,
+                                  lr_detector=1e308)
+        with pytest.raises(NumericError, match="20 step halvings"):
+            train_em(d_full, [], None, cfg)
+
+    @PHASES
+    def test_non_finite_loss_is_a_numeric_error(self, init_epochs, epochs, monkeypatch):
+        d_full, _, _, cfg = self.small_world()
+        cfg = dataclasses.replace(cfg, init_epochs=init_epochs, epochs=epochs)
+        monkeypatch.setattr(em, "examples_loss",
+                            lambda examples, params: (math.inf, np.zeros_like(params.weights)))
+        with pytest.raises(NumericError, match="non-finite"):
+            train_em(d_full, [], None, cfg)
+
 
 class TestCheckpointAndMetrics:
     def test_checkpoint_round_trip(self, tmp_path):
@@ -654,3 +681,16 @@ class TestEvaluateFroc:
         cfg = EmConfig(stride=2)
         result = evaluate_froc(scans, model, cfg)
         assert result.average > 0.9
+
+    def test_equals_froc_over_scan_detections(self):
+        scans = make_dataset(5, seed0=95)
+        cfg = EmConfig()
+        rng = np.random.default_rng(9)
+        for _ in range(4):
+            detector = DetectorParams(rng.normal(scale=1.5, size=N_FEATURES + 2), (5.0, 8.0))
+            model = ModelParams(detector, init_lobe_params(), HalfGaussianParams(1.5))
+            detections = [d for i, scan in enumerate(scans)
+                          for d in scan_detections(scan.volume, model, cfg, scan_id=i)]
+            assert len(detections) > 100
+            assert evaluate_froc(scans, model, cfg) == froc(detections,
+                                                            [s.truth for s in scans])

@@ -1,12 +1,14 @@
 """FROC matching and staircase tests."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from weakem.froc import FP_RATES, CurvePoint, Detection, froc, match, sensitivity_at
+from weakem.froc import (FP_RATES, CurvePoint, Detection, froc, froc_arrays, match,
+                         sensitivity_at)
 from weakem.synthvol import NoduleBox
 
 
@@ -221,6 +223,111 @@ class TestFrocMatchesScalarMatch:
             result = froc(detections, truths)
             assert [(p.threshold, p.fp_per_scan, p.sensitivity) for p in result.curve] == points
         assert any(credited) and not all(credited)
+
+
+def loop_froc(detections, truths):
+    """The per-detection sweep: sort by a key per detection, then match,
+    credit and count detection by detection, closing a curve point after
+    each group of equal scores. Returns (curve as tuples, sensitivities,
+    average)."""
+    n_scans, total = len(truths), sum(len(t) for t in truths)
+    order = sorted(detections, key=lambda d: (-d.score, d.scan_id, d.box.x, d.box.y,
+                                              d.box.z, d.box.diameter))
+    claimed = [set() for _ in truths]
+    tp = fp = 0
+    curve = []
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and order[j].score == order[i].score:
+            det = order[j]
+            hit = match(det, truths[det.scan_id])
+            if hit is None:
+                fp += 1
+            elif hit not in claimed[det.scan_id]:
+                claimed[det.scan_id].add(hit)
+                tp += 1
+            j += 1
+        curve.append((order[i].score, fp / n_scans, tp / total))
+        i = j
+    sens = sensitivity_at([CurvePoint(*p) for p in curve], FP_RATES)
+    return curve, sens, sum(sens) / len(sens)
+
+
+def as_arrays(detections):
+    return (np.array([d.scan_id for d in detections], dtype=np.int64),
+            np.array([d.box.center for d in detections], dtype=np.float64).reshape(-1, 3),
+            np.array([d.score for d in detections], dtype=np.float64))
+
+
+def rounding_scene(rng, n_scans=20):
+    # distances that numpy rounds otherwise than math.dist. Even scans hold
+    # one truth whose radius is the larger of the two roundings of its
+    # distance to a detection, so match credits it exactly when math.dist
+    # rounds lower. Odd scans hold two truths at one distance up to rounding
+    # (the detection's offset to the first, permuted), which the roundings
+    # order differently, and a lower-scored detection on the first truth,
+    # which scores a second credit exactly when the first went to the second
+    truths, detections = [], []
+    while len(truths) < n_scans:
+        center, a = rng.uniform(0, 30, (2, 3))
+        b = center + (a - center)[rng.permutation(3)]
+        exact = [math.dist(center, t) for t in (a, b)]
+        rounded = [float(np.sqrt(((center - t) ** 2).sum())) for t in (a, b)]
+        scan_id = len(truths)
+        if scan_id % 2 == 0 and rounded[0] != exact[0]:
+            truths.append([box(*a, 2 * max(rounded[0], exact[0]))])
+        elif scan_id % 2 and (exact[1] < exact[0]) != (rounded[1] < rounded[0]):
+            truths.append([box(*t, 4 * exact[0]) for t in (a, b)])
+            detections.append(Detection(scan_id, box(*a), float(rng.uniform(0.0, 0.5))))
+        else:
+            continue
+        detections.append(Detection(scan_id, box(*center), float(rng.uniform(0.5, 1.0))))
+    return detections, truths
+
+
+class TestFrocArrays:
+    def scenes(self):
+        # random scenes (scans without truths or without detections among
+        # them), half with scores rounded to tie, the radius-edge and
+        # distance-tie scenes, and distances that numpy rounds otherwise
+        rng = np.random.default_rng(14)
+        for n in range(200):
+            detections, truths = random_scene(rng, n_scans=5)
+            if n % 2:
+                detections = [dataclasses.replace(d, score=round(d.score, 1))
+                              for d in detections]
+            yield detections, truths
+        for _ in range(20):
+            yield edge_scene(rng)
+        for _ in range(5):
+            yield rounding_scene(rng)
+
+    def test_core_equals_the_per_detection_loop(self):
+        tied = 0
+        for detections, truths in self.scenes():
+            result = froc_arrays(*as_arrays(detections), truths)
+            curve, sens, average = loop_froc(detections, truths)
+            assert [(p.threshold, p.fp_per_scan, p.sensitivity) for p in result.curve] == curve
+            assert result.sensitivities == sens
+            assert result.average == average
+            assert froc(detections, truths) == result
+            tied += len(curve) < len(detections)
+        assert tied > 50
+
+    def test_every_figure_is_a_python_float(self):
+        for detections, truths in itertools.islice(self.scenes(), 20):
+            result = froc_arrays(*as_arrays(detections), truths)
+            assert all(type(x) is float for p in result.curve
+                       for x in (p.threshold, p.fp_per_scan, p.sensitivity))
+            assert all(type(x) is float for x in result.sensitivities + (result.average,))
+
+    def test_unknown_scan_is_rejected(self):
+        scan_ids, centers, scores = as_arrays([Detection(0, box(1, 1, 1), 0.5)] * 2)
+        for bad in (1, -1):
+            scan_ids[1] = bad
+            with pytest.raises(ValueError, match=f"unknown scan {bad}"):
+                froc_arrays(scan_ids, centers, scores, [[box(1, 1, 1)]])
 
 
 def scanned_read_out(curve, targets):
