@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .synthvol import NoduleBox, Volume
 
@@ -151,12 +150,16 @@ def extract_features(volume: Volume, box: NoduleBox) -> np.ndarray:
     ], dtype=np.float64)
 
 
-def _lung_points(lung_lo, lung_hi, stride: int) -> np.ndarray:
-    # anchor_points of a lung box
+def _lung_axes(lung_lo, lung_hi, stride: int) -> list[np.ndarray]:
+    # the anchor lattice of a lung box, one coordinate array per axis
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    axes = [np.arange(lo, hi, stride) for lo, hi in zip(lung_lo, lung_hi)]
-    grid = np.meshgrid(*axes, indexing="ij")
+    return [np.arange(lo, hi, stride) for lo, hi in zip(lung_lo, lung_hi)]
+
+
+def _lung_points(lung_lo, lung_hi, stride: int) -> np.ndarray:
+    # anchor_points of a lung box
+    grid = np.meshgrid(*_lung_axes(lung_lo, lung_hi, stride), indexing="ij")
     return np.stack([g.ravel() for g in grid], axis=1).astype(np.int64)
 
 
@@ -175,9 +178,27 @@ def anchor_geometry(lung_lo, lung_hi, stride: int, scales) -> tuple[np.ndarray, 
             np.tile(np.asarray(scales, dtype=np.float64), len(pts)))
 
 
-def _batch_features(volume: Volume, pts: np.ndarray, scale: float, out: np.ndarray) -> None:
-    # same statistics as extract_features, for all integer centers at one
-    # scale, written into the (n points, N_FEATURES) array ``out``
+def _lattice_max(voxels: np.ndarray, axes, reach: int) -> np.ndarray:
+    # max over the cube of side 2 reach + 1 about each point of the lattice
+    # axes[0] x axes[1] x axes[2], clipped to the grid, shape (nx, ny, nz):
+    # per axis, one gather of each lattice coordinate's window and a max over
+    # it. A window index clipped to the grid edge lands on a voxel inside the
+    # clipped window, and max is exact, so this equals a full-volume
+    # maximum_filter (mode "constant", cval -inf) read on the lattice bit for
+    # bit, in the voxels' dtype
+    out = voxels
+    window = np.arange(-reach, reach + 1)
+    for axis, ax in enumerate(axes):
+        idx = np.clip(ax[:, None] + window, 0, voxels.shape[axis] - 1)
+        out = np.take(out, idx, axis=axis).max(axis=axis + 1)
+    return out
+
+
+def _batch_features(volume: Volume, axes, pts: np.ndarray, scale: float,
+                    out: np.ndarray) -> None:
+    # same statistics as extract_features, for all points ``pts`` of the
+    # lattice ``axes`` at one scale, written into the (n points, N_FEATURES)
+    # array ``out``
     shape = volume.shape
     sat, sat2 = _tables(volume)
     a_in = int(math.floor(scale / 2.0))
@@ -194,10 +215,8 @@ def _batch_features(volume: Volume, pts: np.ndarray, scale: float, out: np.ndarr
     _, q_in = sums(sat2, a_in)
     n_out, s_out = sums(sat, a_out)
     mean_in = s_in / n_in
-    window_max = maximum_filter(volume.voxels, size=2 * a_in + 1, mode="constant",
-                                cval=-np.inf)
     out[:, 0] = mean_in
-    out[:, 1] = window_max[pts[:, 0], pts[:, 1], pts[:, 2]]
+    out[:, 1] = _lattice_max(volume.voxels, axes, a_in).ravel()
     out[:, 2] = np.sqrt(np.maximum(q_in / n_in - mean_in * mean_in, 0.0))
     n_shell = n_out - n_in
     shell_mean = np.where(n_shell > 0, (s_out - s_in) / np.maximum(n_shell, 1), mean_in)
@@ -229,10 +248,11 @@ def _anchor_grid(volume: Volume, stride: int, scales) -> AnchorGrid:
     key = ("grid", stride, scales)
     grid = volume._cache.get(key)
     if grid is None:
+        axes = _lung_axes(volume.lung_lo, volume.lung_hi, stride)
         pts = anchor_points(volume, stride)
         feats = np.empty((len(scales), len(pts), N_FEATURES), dtype=np.float64)
         for j, scale in enumerate(scales):
-            _batch_features(volume, pts, scale, feats[j])
+            _batch_features(volume, axes, pts, scale, feats[j])
         grid = AnchorGrid(*anchor_geometry(volume.lung_lo, volume.lung_hi, stride, scales),
                           feats)
         volume._cache[key] = grid

@@ -30,8 +30,8 @@ from .detector import (DetectorParams, Proposal, _anchor_grid, anchor_geometry, 
 from .froc import Detection, FrocResult
 from .synthvol import LabeledScan, NoduleBox, Volume, WeakLabel, lobe_of
 from .weaklik import (DEFAULT_MU, DEFAULT_SIGMA_FLOOR, HalfGaussianParams, LobeParams,
-                      fit_sigma, init_lobe_params, lobe_fit_step, lobe_objective,
-                      weak_log_likelihood)
+                      fit_sigma, init_lobe_params, lobe_batch, lobe_fit_step,
+                      lobe_rows_objective, weak_log_likelihood)
 
 CHECKPOINT_FORMAT = "weakem-checkpoint-v1"
 
@@ -438,12 +438,13 @@ def _backtrack(step_to, loss_at, loss0: float, step: float):
 
 def _stack_full_set(d_full, cfg: EmConfig):
     # what every supervised pass reads of the fully labeled scans, built
-    # once: their stacked training anchors, and the (true lobe, truth box,
-    # volume) pairs of the lobe model
+    # once: their stacked training anchors, and the lobe_batch of the (true
+    # lobe, truth box, volume) pairs of the lobe model, None without truths
+    pairs = [(lobe_of(t.center, scan.volume), t, scan.volume)
+             for scan in d_full for t in scan.truth]
     return (stack_anchors(((scan.volume, scan.truth) for scan in d_full), cfg.stride,
                           cfg.anchor_scales),
-            [(lobe_of(t.center, scan.volume), t, scan.volume)
-             for scan in d_full for t in scan.truth])
+            lobe_batch(pairs) if pairs else None)
 
 
 def _supervised_pass(full_set, params: ModelParams, cfg: EmConfig, lr_scale: float = 1.0):
@@ -454,7 +455,7 @@ def _supervised_pass(full_set, params: ModelParams, cfg: EmConfig, lr_scale: flo
     # sustains a bounded oscillation at constant step size; the caller
     # anneals lr_scale so the oscillation dies out while the stable feature
     # weights keep their equilibrium.
-    anchors, lobe_pairs = full_set
+    anchors, lobe_rows = full_set
     detector = params.detector
     examples = stacked_examples(anchors, detector)
     mean_loss, grad = examples_loss(examples, detector)
@@ -462,10 +463,10 @@ def _supervised_pass(full_set, params: ModelParams, cfg: EmConfig, lr_scale: flo
                           lambda cand: examples_loss(examples, cand)[0],
                           mean_loss, cfg.lr_detector * lr_scale)
     lobe = params.lobe
-    if lobe_pairs:
-        nll, lobe_grad = lobe_objective(lobe_pairs, lobe)
+    if lobe_rows is not None:
+        nll, lobe_grad = lobe_rows_objective(*lobe_rows, lobe)
         lobe = _backtrack(lambda step: LobeParams(lobe.theta + step * lobe_grad),
-                          lambda cand: lobe_objective(lobe_pairs, cand)[0],
+                          lambda cand: lobe_rows_objective(*lobe_rows, cand)[0],
                           nll, cfg.lr_lobe)
     return ModelParams(detector, lobe, params.slice_noise), mean_loss
 
@@ -527,6 +528,19 @@ def initialize_params(d_full, cfg: EmConfig) -> ModelParams:
     return ModelParams(init_detector(cfg.anchor_scales), init_lobe_params(), hg)
 
 
+@contextmanager
+def _overflow_is_numeric():
+    # a floating-point overflow in training is a NumericError: a weak M-step
+    # that overflows the weights, or weights so large that logits overflow,
+    # would otherwise run on with finite but meaningless losses
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericError(f"training overflowed ({exc})") from exc
+
+
+@_overflow_is_numeric()
 def train_em(d_full, d_weak, d_val, cfg: EmConfig, rng=0) -> TrainResult:
     """Alternating training over fully and weakly labeled scans.
 
@@ -542,8 +556,9 @@ def train_em(d_full, d_weak, d_val, cfg: EmConfig, rng=0) -> TrainResult:
     positives from the still-unsettled detector poison the model. With
     ``d_weak`` empty the trajectory is exactly the supervised-only one for
     the same seed. Deterministic given (inputs, cfg, seed). Raises
-    NumericError when a supervised pass's loss is non-finite or no halving
-    of its step keeps the loss from rising.
+    NumericError when a supervised pass's loss is non-finite, no halving
+    of its step keeps the loss from rising, or any step of training
+    overflows.
     """
     cfg.validate()
     d_full, d_weak = list(d_full), list(d_weak)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 MAGIC = b"WEAKEMV1"
 LOBE_COUNT = 6
@@ -199,6 +198,8 @@ def _textured_background(rng: np.random.Generator, cfg: GeneratorConfig) -> np.n
     vox = np.full(dims, cfg.base_intensity, dtype=np.float64)
     vox += rng.normal(0.0, cfg.noise, size=dims) if cfg.noise > 0 else 0.0
     if cfg.clutter > 0:
+        # imported here so that only scan generation loads scipy
+        from scipy.ndimage import gaussian_filter
         blob = gaussian_filter(rng.standard_normal(dims), sigma=cfg.clutter_scale)
         sd = float(blob.std())
         if sd > 0:

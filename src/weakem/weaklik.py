@@ -141,24 +141,35 @@ def fit_sigma(pairs, mu: float = DEFAULT_MU,
     return HalfGaussianParams(sigma=max(sigma, sigma_floor), mu=mu)
 
 
-def lobe_objective(batch, lp: LobeParams):
-    """Mean negative log-likelihood of (lobe, box, volume) triples under the
-    lobe softmax, and the gradient of the mean log-likelihood with respect
-    to ``lp.theta`` (the ascent direction). Returns (nll, gradient)."""
+def lobe_batch(batch) -> tuple[np.ndarray, np.ndarray]:
+    """The (lobe ids, lobe feature rows) of (lobe, box, volume) triples, the
+    arrays ``lobe_rows_objective`` reads."""
     batch = list(batch)
     if not batch:
         raise ValueError("batch must be nonempty")
     lobes = np.array([lobe for lobe, _, _ in batch], dtype=np.int64)
     if lobes.min() < 1 or lobes.max() > LOBE_COUNT:
         raise ValueError(f"lobe must be in 1..{LOBE_COUNT}")
-    rows = _lobe_rows([box.center for _, box, _ in batch],
-                      np.array([v.lung_lo for _, _, v in batch], dtype=np.float64),
-                      np.array([v.lung_dims for _, _, v in batch], dtype=np.float64))
+    return lobes, _lobe_rows([box.center for _, box, _ in batch],
+                             np.array([v.lung_lo for _, _, v in batch], dtype=np.float64),
+                             np.array([v.lung_dims for _, _, v in batch], dtype=np.float64))
+
+
+def lobe_rows_objective(lobes: np.ndarray, rows: np.ndarray, lp: LobeParams):
+    """``lobe_objective`` of the triples whose ``lobe_batch`` is (lobes,
+    rows), so fixed triples are converted once."""
     logp = _lobe_log_softmax(rows, lp)
-    picked = (np.arange(len(batch)), lobes - 1)
+    picked = (np.arange(len(rows)), lobes - 1)
     resid = -np.exp(logp)
     resid[picked] += 1.0
-    return -float(np.mean(logp[picked])), resid.T @ rows / len(batch)
+    return -float(np.mean(logp[picked])), resid.T @ rows / len(rows)
+
+
+def lobe_objective(batch, lp: LobeParams):
+    """Mean negative log-likelihood of (lobe, box, volume) triples under the
+    lobe softmax, and the gradient of the mean log-likelihood with respect
+    to ``lp.theta`` (the ascent direction). Returns (nll, gradient)."""
+    return lobe_rows_objective(*lobe_batch(batch), lp)
 
 
 def lobe_fit_step(batch, lp: LobeParams, learning_rate: float):

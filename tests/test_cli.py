@@ -1,11 +1,15 @@
 """End-to-end command line tests: generate, train, eval, report, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weakem
 from weakem.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, SPLIT_FILES,
                         main)
 from weakem.detector import DetectorParams, N_FEATURES
@@ -172,6 +176,20 @@ class TestTrain:
         assert err.startswith("numeric failure: 20 step halvings") and "Traceback" not in err
         assert not list(Path(out).glob("checkpoint_*"))
 
+    def test_diverging_weak_m_step_exits_numeric(self, tmp_path, capsys):
+        # no warm start, so the weak M-step takes the first, unguarded step
+        cfg = write_config(tmp_path / "exp.json",
+                           {**SMOKE, "em": {**SMOKE["em"], "init_epochs": 0, "epochs": 3,
+                                            "lr_detector": 1e308}})
+        out = str(tmp_path / "out")
+        assert main(["generate", "--config", cfg, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["train", "--config", cfg, "--mode", "deepem-sampling", "--out", out])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric failure") and "Traceback" not in err
+        assert not list(Path(out).glob("checkpoint_*"))
+
 
 class TestEval:
     def test_report_and_curve_csv(self, smoke_run, capsys, tmp_path):
@@ -301,3 +319,32 @@ class TestConfigHandling:
         cfg = write_config(tmp_path / "exp.json", payload)
         assert main(["generate", "--config", cfg,
                      "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+
+
+class TestImports:
+    def test_train_and_eval_never_load_scipy(self, tmp_path):
+        # only generate needs scipy: train and eval run in a fresh process
+        # after the splits are made in another
+        cfg = write_config(tmp_path / "exp.json", SMOKE)
+        out = str(tmp_path / "out")
+        src = str(Path(weakem.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(script):
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, check=True)
+            return done.stdout.strip().splitlines()[-1]
+
+        run(f"from weakem.cli import main; print(main(['generate', '--config', {cfg!r}, "
+            f"'--out', {out!r}]))")
+        ckpt = str(Path(out) / "checkpoint_deepem-sampling_seed0.json")
+        valid = str(Path(out) / SPLIT_FILES["valid"])
+        last = run(
+            "import json, sys\n"
+            "from weakem.cli import main\n"
+            f"codes = [main(['train', '--config', {cfg!r}, '--mode', 'deepem-sampling', "
+            f"'--out', {out!r}]), main(['eval', {ckpt!r}, {valid!r}])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if m == 'scipy' or m.startswith('scipy.'))]))\n")
+        assert json.loads(last) == [[EXIT_OK, EXIT_OK], []]

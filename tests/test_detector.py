@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from weakem.detector import (DetectorParams, N_FEATURES, _stable_smallest, anchor_loss,
+from weakem.detector import (DetectorParams, N_FEATURES, _anchor_grid, _stable_smallest,
+                             anchor_loss,
                              anchor_points, examples_loss, extract_features, grid_logits,
                              init_detector, log_sigmoid, mine_negatives, propose, sgd_step,
                              sigmoid, stack_anchors, stacked_examples, supervised_examples,
@@ -131,6 +132,30 @@ class TestPropose:
         a = propose(vol, params, stride=4)
         b = propose(vol, params, stride=4)
         assert [(p.logit, p.anchor_id) for p in a] == [(p.logit, p.anchor_id) for p in b]
+
+
+class TestLatticeMax:
+    # the window-max feature is computed on the anchor lattice only
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    def test_equals_the_per_box_max_and_the_full_volume_filter(self, stride):
+        from scipy.ndimage import maximum_filter  # a test oracle only
+        rng = np.random.default_rng(40 + stride)
+        shape = ((13, 9, 11), (9, 14, 10))[stride % 2]
+        vox = rng.random(shape).astype(np.float32)
+        # lung edges off the stride lattice, and one axis spanning the grid
+        vol = Volume(vox, (1, 0, 2), (shape[0] - 1, shape[1], shape[2] - 1))
+        scales = (1.5, 5.0, 8.0, 50.0)  # reaches 0, 2, 4 and beyond the grid
+        features = _anchor_grid(vol, stride, scales).features
+        pts = anchor_points(vol, stride)
+        for j, scale in enumerate(scales):
+            reach = int(math.floor(scale / 2.0))
+            filtered = maximum_filter(vox, size=2 * reach + 1, mode="constant", cval=-np.inf)
+            np.testing.assert_array_equal(features[j, :, 1],
+                                          filtered[pts[:, 0], pts[:, 1], pts[:, 2]])
+            np.testing.assert_array_equal(
+                features[j, :, 1],
+                [extract_features(vol, NoduleBox(*map(float, p), scale))[1] for p in pts])
 
 
 class TestSupervisedLoss:
