@@ -22,11 +22,12 @@ import numpy as np
 
 from . import froc as froc_mod
 # propose and supervised_examples are not called here (see _scan_kept and
-# _supervised_pass) but stay importable as em.propose and em.supervised_examples
-from .detector import (DetectorParams, Proposal, _anchor_grid, anchor_geometry,  # noqa: F401
-                       examples_loss, grid_logits, init_detector, log_sigmoid, propose,
-                       sgd_step, sigmoid, stack_anchors, stacked_examples, supervised_examples,
-                       supervised_loss)
+# _supervised_pass) but stay importable as em.propose and em.supervised_examples;
+# supervised_loss is called by q_value only
+from .detector import (DetectorParams, Proposal, _anchor_examples,  # noqa: F401
+                       _anchor_grid, anchor_geometry, box_examples, examples_loss,
+                       grid_logits, init_detector, log_sigmoid, propose, sgd_step, sigmoid,
+                       stack_anchors, stacked_examples, supervised_examples, supervised_loss)
 from .froc import Detection, FrocResult
 from .synthvol import LabeledScan, NoduleBox, Volume, WeakLabel, lobe_of
 from .weaklik import (DEFAULT_MU, DEFAULT_SIGMA_FLOOR, HalfGaussianParams, LobeParams,
@@ -355,13 +356,17 @@ def weak_m_step(volume: Volume, weak_boxes, negatives, params: ModelParams,
     ``weak_boxes`` holds (weak label, inferred box) pairs, flattened over
     labels and posterior draws so the supervised loss averages over all of
     them; ``negatives`` are plain boxes. This is the one-scan case of the
-    batch M-step that training runs: the detector and the lobe softmax move
-    one step each from the same input params; the slice-noise scale stays
+    batch M-step that training runs, scored from ``extract_features`` rows
+    instead of anchor-grid rows: the detector and the lobe softmax move one
+    step each from the same input params; the slice-noise scale stays
     frozen. ``lr_scale`` multiplies both learning rates so the caller can
     anneal the step size over epochs.
     """
-    return _weak_batch_m_step([(volume, list(weak_boxes), list(negatives))], params, cfg,
-                              lr_scale)
+    weak_boxes, negatives = list(weak_boxes), list(negatives)
+    examples = (box_examples(volume, [b for _, b in weak_boxes], negatives,
+                             params.detector.scales) if weak_boxes or negatives else None)
+    return _rows_m_step([(examples, [(w.lobe, b, volume) for w, b in weak_boxes])],
+                        params, cfg, lr_scale)
 
 
 def q_value(volume: Volume, weak_boxes, negatives, params: ModelParams) -> float:
@@ -459,6 +464,7 @@ def _supervised_pass(full_set, params: ModelParams, cfg: EmConfig, lr_scale: flo
     detector = params.detector
     examples = stacked_examples(anchors, detector)
     mean_loss, grad = examples_loss(examples, detector)
+    grad = _finite_gradient(grad, "supervised pass")
     detector = _backtrack(lambda step: sgd_step(detector, grad, step),
                           lambda cand: examples_loss(examples, cand)[0],
                           mean_loss, cfg.lr_detector * lr_scale)
@@ -473,10 +479,13 @@ def _supervised_pass(full_set, params: ModelParams, cfg: EmConfig, lr_scale: flo
 
 def _weak_scan_estep(scan: LabeledScan, params: ModelParams, cfg: EmConfig,
                      rng: np.random.Generator):
-    # E-step for one weak scan under frozen params; truth is never consulted
+    # E-step for one weak scan under frozen params; truth is never consulted.
+    # Returns (labels used, labels skipped, (weak label, inferred box) pairs,
+    # the inferred boxes' anchor ids in the same order, hard-negative ids)
     grid, kept, logits = _scan_kept(scan.volume, params, cfg)
     filtered = [Proposal(grid.box(i), float(logits[i]), i) for i in kept.tolist()]
     weak_boxes: list[tuple[WeakLabel, NoduleBox]] = []
+    positives: list[int] = []
     used = skipped = 0
     for w in scan.weak:
         if not filtered:
@@ -488,29 +497,53 @@ def _weak_scan_estep(scan: LabeledScan, params: ModelParams, cfg: EmConfig,
         else:
             chosen = infer_sampling(post, cfg.samples_per_label, rng)
         weak_boxes.extend((w, c.box) for c in chosen)
+        positives.extend(c.anchor_id for c in chosen)
         used += 1
-    negatives = [p.box for p in hard_negatives(filtered, scan.weak, cfg, params.slice_noise)]
-    return used, skipped, weak_boxes, negatives
+    negatives = [p.anchor_id for p in hard_negatives(filtered, scan.weak, cfg, params.slice_noise)]
+    return (used, skipped, weak_boxes, np.array(positives, dtype=np.int64),
+            np.array(negatives, dtype=np.int64))
 
 
-def _weak_batch_m_step(batch, params: ModelParams, cfg: EmConfig, lr_scale: float):
-    # one ascent step on the subsample's complete-data objective: per-scan
-    # gradients are averaged, because sequential single-scan steps teach
-    # "positive near this scan's reported slice, negative far from it" and
-    # random-walk the shared weights scan by scan. Scans with neither
-    # inferred boxes nor negatives add nothing.
-    grads = [supervised_loss(volume, [b for _, b in weak_boxes], negatives,
-                             params.detector)[1]
-             for volume, weak_boxes, negatives in batch if weak_boxes or negatives]
+def _finite_gradient(grad: np.ndarray, step: str) -> np.ndarray:
+    # the gradient a detector step is about to take; non-finite is a NumericError
+    if not np.all(np.isfinite(grad)):
+        raise NumericError(f"non-finite gradient in the {step}")
+    return grad
+
+
+def _rows_m_step(scans, params: ModelParams, cfg: EmConfig, lr_scale: float):
+    # one ascent step on the complete-data objective of scans given as
+    # (Examples or None, (lobe, box, volume) triples): per-scan gradients
+    # are averaged, because sequential single-scan steps teach "positive
+    # near this scan's reported slice, negative far from it" and random-walk
+    # the shared weights scan by scan. Scans with neither inferred boxes nor
+    # negatives (Examples None) add nothing.
+    grads = [examples_loss(examples, params.detector)[1]
+             for examples, _ in scans if examples is not None]
     detector = params.detector
     if grads:
-        detector = sgd_step(detector, np.mean(grads, axis=0), cfg.lr_detector * lr_scale)
-    pairs = [(w.lobe, b, volume) for volume, weak_boxes, _ in batch
-             for w, b in weak_boxes]
+        detector = sgd_step(detector, _finite_gradient(np.mean(grads, axis=0), "weak M-step"),
+                            cfg.lr_detector * lr_scale)
+    pairs = [pair for _, triples in scans for pair in triples]
     lobe = params.lobe
     if pairs:
         lobe = lobe_fit_step(pairs, lobe, cfg.lr_lobe * lr_scale)[0]
     return ModelParams(detector, lobe, params.slice_noise)
+
+
+def _weak_batch_m_step(batch, params: ModelParams, cfg: EmConfig, lr_scale: float):
+    # the weak M-step training runs, over one (volume, weak_boxes, positive
+    # ids, negative ids) entry per E-step scan as _weak_scan_estep gives
+    # them: every inferred box and hard negative is an anchor box, so its
+    # row is read from the volume's cached anchor grid
+    scans = []
+    for volume, weak_boxes, pos, neg in batch:
+        examples = None
+        if len(pos) or len(neg):
+            grid = _anchor_grid(volume, cfg.stride, params.detector.scales)
+            examples = _anchor_examples(grid.features, [(pos, neg)])
+        scans.append((examples, [(w.lobe, b, volume) for w, b in weak_boxes]))
+    return _rows_m_step(scans, params, cfg, lr_scale)
 
 
 def initialize_params(d_full, cfg: EmConfig) -> ModelParams:
@@ -557,8 +590,8 @@ def train_em(d_full, d_weak, d_val, cfg: EmConfig, rng=0) -> TrainResult:
     ``d_weak`` empty the trajectory is exactly the supervised-only one for
     the same seed. Deterministic given (inputs, cfg, seed). Raises
     NumericError when a supervised pass's loss is non-finite, no halving
-    of its step keeps the loss from rising, or any step of training
-    overflows.
+    of its step keeps the loss from rising, a detector step's gradient is
+    non-finite, or any step of training overflows.
     """
     cfg.validate()
     d_full, d_weak = list(d_full), list(d_weak)
@@ -581,10 +614,11 @@ def train_em(d_full, d_weak, d_val, cfg: EmConfig, rng=0) -> TrainResult:
             batch = []
             for i in chosen:
                 scan = d_weak[int(i)]
-                u, s, weak_boxes, negatives = _weak_scan_estep(scan, params, cfg, rng)
+                u, s, weak_boxes, positives, negatives = _weak_scan_estep(scan, params,
+                                                                          cfg, rng)
                 used += u
                 skipped += s
-                batch.append((scan.volume, weak_boxes, negatives))
+                batch.append((scan.volume, weak_boxes, positives, negatives))
             params = _weak_batch_m_step(batch, params, cfg, scale)
         params, mean_loss = _supervised_pass(full_set, params, cfg, scale)
         froc_avg = evaluate_froc(d_val, params, cfg).average if d_val else float("nan")

@@ -190,6 +190,32 @@ class TestTrain:
         assert err.startswith("numeric failure") and "Traceback" not in err
         assert not list(Path(out).glob("checkpoint_*"))
 
+    @pytest.mark.parametrize("mode, init_epochs, step", [
+        ("deepem-sampling", 0, "weak M-step"),  # no warm start: the weak step goes first
+        ("baseline", 1, "supervised pass"),
+    ])
+    def test_non_finite_gradient_exits_numeric(self, tmp_path, capsys, monkeypatch, mode,
+                                               init_epochs, step):
+        from weakem import em
+        real = em.examples_loss
+
+        def nan_gradient(examples, params):
+            loss, grad = real(examples, params)
+            return loss, np.full_like(grad, np.nan)
+
+        cfg = write_config(tmp_path / "exp.json",
+                           {**SMOKE, "em": {**SMOKE["em"], "init_epochs": init_epochs}})
+        out = str(tmp_path / "out")
+        assert main(["generate", "--config", cfg, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(em, "examples_loss", nan_gradient)
+        code = main(["train", "--config", cfg, "--mode", mode, "--out", out])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric failure") and "Traceback" not in err
+        assert f"non-finite gradient in the {step}" in err
+        assert not list(Path(out).glob("checkpoint_*"))
+
 
 class TestEval:
     def test_report_and_curve_csv(self, smoke_run, capsys, tmp_path):

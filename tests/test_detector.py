@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from weakem.detector import (DetectorParams, N_FEATURES, _anchor_grid, _stable_smallest,
-                             anchor_loss,
-                             anchor_points, examples_loss, extract_features, grid_logits,
-                             init_detector, log_sigmoid, mine_negatives, propose, sgd_step,
-                             sigmoid, stack_anchors, stacked_examples, supervised_examples,
+                             _tables, anchor_geometry, anchor_loss, anchor_points,
+                             examples_loss, extract_features, grid_logits, init_detector,
+                             log_sigmoid, mine_negatives, propose, sgd_step, sigmoid,
+                             stack_anchors, stacked_examples, supervised_examples,
                              supervised_loss)
 from weakem.synthvol import GeneratorConfig, NoduleBox, Volume, generate_scan
 
@@ -156,6 +156,56 @@ class TestLatticeMax:
             np.testing.assert_array_equal(
                 features[j, :, 1],
                 [extract_features(vol, NoduleBox(*map(float, p), scale))[1] for p in pts])
+
+
+# (volume shape, lung_lo, lung_hi, stride, scales): non-integer scales, lung
+# edges off the stride lattice, strides 1-4 and a non-cubic volume
+FEATURE_CASES = [
+    ((24, 24, 24), (1, 2, 3), (7, 6, 9), 1, (5.3, 7.7, 11.0)),
+    ((24, 24, 24), (2, 1, 0), (15, 13, 14), 3, (5.3, 7.7, 11.0)),
+    ((24, 24, 24), (3, 2, 1), (22, 19, 20), 4, (5.0, 8.0)),
+    ((24, 24, 24), (2, 3, 1), (21, 18, 22), 4, (5.3, 7.7, 11.0)),
+    ((17, 26, 12), (0, 3, 1), (17, 24, 11), 2, (1.5, 6.2, 9.0)),
+]
+
+
+class TestAnchorFeatures:
+    # training reads anchor boxes' features from the grid alone, so the grid
+    # must equal the per-box path exactly
+
+    @pytest.mark.parametrize("shape, lung_lo, lung_hi, stride, scales", FEATURE_CASES)
+    def test_grid_rows_equal_extract_features_bitwise(self, shape, lung_lo, lung_hi, stride,
+                                                      scales):
+        rng = np.random.default_rng(stride + len(scales))
+        vol = Volume(rng.random(shape).astype(np.float32), lung_lo, lung_hi)
+        grid = _anchor_grid(vol, stride, scales)
+        rows = grid.features[np.arange(len(grid.diameters)) % len(scales),
+                             np.arange(len(grid.diameters)) // len(scales)]
+        want = np.array([extract_features(vol, grid.box(i)) for i in range(len(rows))])
+        assert rows.shape == (len(want), N_FEATURES)
+        assert np.array_equal(rows, want)
+
+    def test_in_place_tables_equal_the_cumsum_chain(self):
+        rng = np.random.default_rng(9)
+        for shape in ((8, 8, 8), (17, 26, 12), (32, 32, 32), (64, 64, 64)):
+            vox = rng.random(shape).astype(np.float32)
+            v = vox.astype(np.float64)
+            tables = _tables(vox)
+            assert tables.shape == (2,) + tuple(n + 1 for n in shape)
+            for table, values in zip(tables, (v, v * v)):
+                want = np.zeros(tuple(n + 1 for n in shape))
+                want[1:, 1:, 1:] = values.cumsum(0).cumsum(1).cumsum(2)
+                assert np.array_equal(table, want)
+
+    def test_grids_over_one_lung_box_share_read_only_geometry(self):
+        rng = np.random.default_rng(10)
+        first, second = random_volume(rng), random_volume(rng)
+        a, b = _anchor_grid(first, 4, (5.0, 8.0)), _anchor_grid(second, 4, (5.0, 8.0))
+        assert a.centers is b.centers and a.diameters is b.diameters
+        assert a.features is not b.features
+        assert not a.centers.flags.writeable and not a.diameters.flags.writeable
+        assert anchor_geometry(first.lung_lo, first.lung_hi, 4, (5.0, 8.0))[0] is a.centers
+        assert "sat" not in first._cache
 
 
 class TestSupervisedLoss:

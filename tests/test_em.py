@@ -49,6 +49,20 @@ def make_dataset(n, seed0=0, cfg=None, weak=False):
     return scans
 
 
+def cached_arrays(value):
+    # the numpy arrays held by a Volume._cache value, nested tuples included
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from cached_arrays(item)
+
+
+def table_size(volume):
+    # element count of one zero-padded summed-volume table of the volume
+    return math.prod(n + 1 for n in volume.shape)
+
+
 class TestIou3d:
     def test_identical_is_one(self):
         assert iou_3d(box(5, 5, 5, 4.0), box(5, 5, 5, 4.0)) == 1.0
@@ -192,16 +206,10 @@ class TestScanDetections:
         n_anchors = len(propose(scan.volume, params.detector, cfg.stride))
         scan_detections(scan.volume, params, cfg)
 
-        def arrays(value):
-            if isinstance(value, np.ndarray):
-                yield value
-            elif isinstance(value, (tuple, list)):
-                for item in value:
-                    yield from arrays(item)
-
-        sizes = [a.size for v in scan.volume._cache.values() for a in arrays(v)]
+        sizes = [a.size for v in scan.volume._cache.values() for a in cached_arrays(v)]
         assert sizes
         assert max(sizes) < n_anchors ** 2
+        assert max(sizes) < table_size(scan.volume)
 
 
 # small anchor grids: (lung_lo, lung_hi, stride, scales), with non-integer
@@ -488,8 +496,10 @@ class TestWeakMStep:
         cfg = EmConfig()
         model = initialize_params([scan], cfg)
         weak = scan.weak[0]
-        entry = (scan.volume, [(weak, box(11, 13, 11, 5.0))], [box(25, 25, 25, 5.0)])
-        empty = (scan.volume, [], [])
+        grid = _anchor_grid(scan.volume, cfg.stride, cfg.anchor_scales)
+        entry = (scan.volume, [(weak, grid.box(40))], np.array([40]), np.array([301]))
+        none = np.zeros(0, dtype=np.int64)
+        empty = (scan.volume, [], none, none)
         alone = _weak_batch_m_step([entry], model, cfg, 0.5)
         mixed = _weak_batch_m_step([empty, entry, empty], model, cfg, 0.5)
         np.testing.assert_array_equal(alone.detector.weights, mixed.detector.weights)
@@ -497,6 +507,29 @@ class TestWeakMStep:
         idle = _weak_batch_m_step([empty], model, cfg, 0.5)
         np.testing.assert_array_equal(idle.detector.weights, model.detector.weights)
         np.testing.assert_array_equal(idle.lobe.theta, model.lobe.theta)
+
+    def test_anchor_id_batch_step_equals_the_box_step(self):
+        # training's M-step reads inferred boxes and hard negatives as anchor
+        # rows of the cached grid; weak_m_step scores the same anchors as
+        # NoduleBoxes through extract_features, and the step must not differ
+        scan = make_dataset(1, seed0=44, weak=True)[0]
+        cfg = EmConfig()
+        grid = _anchor_grid(scan.volume, cfg.stride, cfg.anchor_scales)
+        rng = np.random.default_rng(11)
+        for trial in range(6):
+            model = ModelParams(
+                DetectorParams(rng.normal(scale=0.8, size=N_FEATURES + 2), cfg.anchor_scales),
+                LobeParams(rng.normal(size=init_lobe_params().theta.shape)),
+                HalfGaussianParams(1.5, 1.63))
+            ids = rng.choice(len(grid.diameters), size=7, replace=False)
+            pos, neg = ids[:trial % 4], ids[4:]
+            weak_boxes = [(scan.weak[k % len(scan.weak)], grid.box(i))
+                          for k, i in enumerate(pos.tolist())]
+            by_ids = _weak_batch_m_step([(scan.volume, weak_boxes, pos, neg)], model, cfg, 0.7)
+            by_boxes = weak_m_step(scan.volume, weak_boxes, [grid.box(i) for i in neg.tolist()],
+                                   model, cfg, 0.7)
+            assert by_ids.to_dict() == by_boxes.to_dict()
+            assert by_ids.to_dict() != model.to_dict()
 
 
 class TestSupervisedPass:
@@ -549,6 +582,18 @@ class TestTrainEm:
         np.testing.assert_array_equal(a.params.lobe.theta, b.params.lobe.theta)
         assert [dataclasses.astuple(m) for m in a.history] == \
             [dataclasses.astuple(m) for m in b.history]
+
+    def test_no_volume_keeps_summed_volume_tables(self):
+        # the tables live only for a grid build or a box-scoring call; every
+        # volume training touched keeps its grid, and nothing table-sized
+        d_full, d_weak, d_val, cfg = self.small_world()
+        result = train_em(d_full, d_weak, d_val, dataclasses.replace(cfg, inference="sampling"),
+                          rng=4)
+        assert sum(m.weak_labels_used for m in result.history) > 0
+        for scan in d_full + d_weak + d_val:
+            sizes = [a.size for v in scan.volume._cache.values() for a in cached_arrays(v)]
+            assert all(size < table_size(scan.volume) for size in sizes)
+        assert all(scan.volume._cache for scan in d_full + d_val)
 
     def test_empty_weak_set_ignores_inference_mode(self):
         d_full, _, d_val, cfg = self.small_world()
