@@ -21,7 +21,8 @@ from .em import (CheckpointError, EmConfig, NumericError, evaluate_froc, load_ch
                  write_metrics_csv)
 from .froc import FP_RATES
 from .synthvol import (DatasetError, GenerationError, GeneratorConfig, attach_weak_labels,
-                       check_container_capacity, generate_scan, load_dataset, save_dataset)
+                       check_container_capacity, generate_scan, load_dataset, require_ints,
+                       save_dataset)
 
 MODES = ("baseline", "deepem-map", "deepem-sampling")
 
@@ -56,6 +57,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.generator.validate()
         self.em.validate()
+        require_ints("seeds", *self.seeds)
+        for name in ("data_seed", "n_full", "n_weak", "n_valid"):
+            require_ints(name, getattr(self, name))
+        if not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir must be a string")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.mode not in MODES:
@@ -82,6 +88,17 @@ class ExperimentConfig:
             "n_valid": self.n_valid,
         }
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The inverse of ``to_dict``; absent keys take the defaults above."""
+        d = dict(d)
+        gen = dict(d.pop("generator", {}))
+        if "dims" in gen:
+            gen["dims"] = tuple(gen["dims"])
+        if "seeds" in d:
+            d["seeds"] = tuple(d["seeds"])
+        return cls(generator=GeneratorConfig(**gen), em=EmConfig.from_dict(d.pop("em", {})), **d)
+
 
 def load_experiment(path) -> ExperimentConfig:
     try:
@@ -93,41 +110,21 @@ def load_experiment(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        gen = GeneratorConfig(**{**raw.get("generator", {}),
-                                 **({"dims": tuple(raw["generator"]["dims"])}
-                                    if "dims" in raw.get("generator", {}) else {})})
-        em = EmConfig.from_dict(raw.get("em", {}))
-        exp = ExperimentConfig(
-            generator=gen,
-            em=em,
-            seeds=tuple(int(s) for s in raw.get("seeds", (0,))),
-            mode=raw.get("mode", "deepem-sampling"),
-            out_dir=raw.get("out_dir", "results"),
-            data_seed=int(raw.get("data_seed", 0)),
-            n_full=int(raw.get("n_full", 40)),
-            n_weak=int(raw.get("n_weak", 200)),
-            n_valid=int(raw.get("n_valid", 40)),
-        )
+        exp = ExperimentConfig.from_dict(raw)
+        exp.validate()  # a wrong-typed value makes its comparisons raise TypeError
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    try:
-        exp.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return exp
 
 
 def _apply_overrides(exp: ExperimentConfig, args) -> ExperimentConfig:
+    # argparse types and choices make every override valid
     if getattr(args, "seed", None):
         exp = replace(exp, seeds=tuple(args.seed))
     if getattr(args, "mode", None):
         exp = replace(exp, mode=args.mode)
     if getattr(args, "out", None):
         exp = replace(exp, out_dir=args.out)
-    try:
-        exp.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return exp
 
 

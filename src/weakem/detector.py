@@ -98,22 +98,64 @@ def _tables(voxels: np.ndarray) -> np.ndarray:
     return tables
 
 
-def _window_sum(sat, x0, x1, y0, y1, z0, z1):
-    # inclusion-exclusion over the padded table(s) ``sat`` (the last three
-    # axes); bounds are half-open
-    return (sat[..., x1, y1, z1] - sat[..., x0, y1, z1] - sat[..., x1, y0, z1]
-            - sat[..., x1, y1, z0] + sat[..., x0, y0, z1] + sat[..., x0, y1, z0]
-            + sat[..., x1, y0, z0] - sat[..., x0, y0, z0])
+def _window_sum(sat, lo, hi):
+    # sums of the padded table(s) ``sat`` (the last three axes) over the
+    # half-open boxes [lo, hi), given axis first as (3, n) arrays, by
+    # inclusion-exclusion; each corner is one gather from the flattened table
+    ny, nz = sat.shape[-2:]
+    flat = sat.reshape(sat.shape[:-3] + (-1,))
+    (x0, y0, z0), (x1, y1, z1) = lo * [[ny * nz], [nz], [1]], hi * [[ny * nz], [nz], [1]]
+
+    def at(x, y, z):
+        return np.take(flat, x + y + z, axis=-1)
+
+    return (at(x1, y1, z1) - at(x0, y1, z1) - at(x1, y0, z1) - at(x1, y1, z0)
+            + at(x0, y0, z1) + at(x0, y1, z0) + at(x1, y0, z0) - at(x0, y0, z0))
 
 
-def _axis_bounds(center, half: float, shape) -> tuple:
-    # voxel centers within [c - half, c + half] per axis, clipped to the grid
-    out = []
-    for c, size in zip(center, shape):
-        lo = max(int(math.ceil(c - half)), 0)
-        hi = min(int(math.floor(c + half)) + 1, size)
-        out.append((lo, hi))
-    return tuple(out)
+def _window_stats(tables: np.ndarray, shape, centers: np.ndarray, diameter):
+    # extract_features of the boxes with centres ``centers`` (n, 3) and
+    # ``diameter`` (one float, or a list of one per box), from the volume's
+    # _tables, as an (n, N_FEATURES) array whose max column (1) is left for
+    # the caller to fill; also returns the inner cubes' bounds (lo, hi), each
+    # (3, n) and half-open
+    dims = np.asarray(shape)[:, None]
+    axis_first = np.ascontiguousarray(centers.T)
+    diameters = np.asarray(diameter, dtype=np.float64)
+
+    def cube(table, half):
+        # bounds, count and window sum(s) of the voxel centres within half
+        # of each box centre per axis, clipped to the grid
+        lo = np.clip(np.ceil(axis_first - half), 0, dims).astype(np.int64)
+        hi = np.clip(np.floor(axis_first + half) + 1, 0, dims).astype(np.int64)
+        return lo, hi, np.prod(hi - lo, axis=0), _window_sum(table, lo, hi)
+
+    lo, hi, n_in, (s_in, q_in) = cube(tables, diameters / 2.0)
+    if (lo >= hi).any():
+        raise ValueError("box does not cover any voxel center inside the grid")
+    _, _, n_out, s_out = cube(tables[0], diameters)
+    n_shell = n_out - n_in
+    out = np.empty((len(centers), N_FEATURES), dtype=np.float64)
+    mean_in = out[:, 0] = s_in / n_in
+    out[:, 2] = np.sqrt(np.maximum(q_in / n_in - mean_in * mean_in, 0.0))
+    shell_mean = np.where(n_shell > 0, (s_out - s_in) / np.maximum(n_shell, 1), mean_in)
+    out[:, 3] = mean_in - shell_mean
+    out[:, 4:7] = centers / np.asarray(shape)
+    # math.log rather than np.log, whose last bit may differ by platform
+    out[:, 7] = [math.log(d) for d in diameter] if np.ndim(diameter) else math.log(diameter)
+    return out, (lo, hi)
+
+
+def _box_rows(volume: Volume, boxes) -> np.ndarray:
+    # extract_features of each box, one row per box, from summed-volume
+    # tables built once for all of them; the max column is a slice max over
+    # each inner cube
+    centers = np.array([b.center for b in boxes], dtype=np.float64)
+    feats, (lo, hi) = _window_stats(_tables(volume.voxels), volume.shape, centers,
+                                    [b.diameter for b in boxes])
+    feats[:, 1] = [volume.voxels[x0:x1, y0:y1, z0:z1].max()
+                   for x0, y0, z0, x1, y1, z1 in zip(*lo.tolist(), *hi.tolist())]
+    return feats
 
 
 def extract_features(volume: Volume, box: NoduleBox) -> np.ndarray:
@@ -122,40 +164,11 @@ def extract_features(volume: Volume, box: NoduleBox) -> np.ndarray:
     Components: mean, max, and std of intensity over voxel centers inside
     the cube; ring contrast (inside mean minus the mean over the side-2d
     shell); center coordinates normalized by the grid shape; log diameter.
-    Purely a function of (volume, box). Builds the volume's summed-volume
-    tables for this one box; ``box_examples`` builds them once for many
-    boxes, and anchor boxes have these features precomputed in the anchor
-    grid, equal bit for bit.
+    Purely a function of (volume, box). The one-box case of the statistics
+    that ``box_examples`` computes for many boxes and the anchor grid for
+    every anchor, equal bit for bit.
     """
-    return _box_features(volume, _tables(volume.voxels), box)
-
-
-def _box_features(volume: Volume, tables: np.ndarray, box: NoduleBox) -> np.ndarray:
-    # extract_features of one box, from the volume's _tables
-    shape = volume.shape
-    (x0, x1), (y0, y1), (z0, z1) = _axis_bounds(box.center, box.radius, shape)
-    if x0 >= x1 or y0 >= y1 or z0 >= z1:
-        raise ValueError("box does not cover any voxel center inside the grid")
-    (X0, X1), (Y0, Y1), (Z0, Z1) = _axis_bounds(box.center, box.diameter, shape)
-    n_in = (x1 - x0) * (y1 - y0) * (z1 - z0)
-    s_in, q_in = _window_sum(tables, x0, x1, y0, y1, z0, z1)
-    mean_in = s_in / n_in
-    std_in = math.sqrt(max(q_in / n_in - mean_in * mean_in, 0.0))
-    max_in = float(volume.voxels[x0:x1, y0:y1, z0:z1].max())
-    n_out = (X1 - X0) * (Y1 - Y0) * (Z1 - Z0)
-    s_out = _window_sum(tables[0], X0, X1, Y0, Y1, Z0, Z1)
-    n_shell = n_out - n_in
-    shell_mean = (s_out - s_in) / n_shell if n_shell > 0 else mean_in
-    return np.array([
-        mean_in,
-        max_in,
-        std_in,
-        mean_in - shell_mean,
-        box.x / shape[0],
-        box.y / shape[1],
-        box.z / shape[2],
-        math.log(box.diameter),
-    ], dtype=np.float64)
+    return _box_rows(volume, [box])[0]
 
 
 def _lung_axes(lung_lo, lung_hi, stride: int) -> list[np.ndarray]:
@@ -207,37 +220,6 @@ def _lattice_max(voxels: np.ndarray, axes, reach: int) -> np.ndarray:
     return out
 
 
-def _batch_features(volume: Volume, tables: np.ndarray, axes, pts: np.ndarray, scale: float,
-                    out: np.ndarray) -> None:
-    # same statistics as extract_features, from the volume's _tables, for
-    # all points ``pts`` of the lattice ``axes`` at one scale, written into
-    # the (n points, N_FEATURES) array ``out``
-    shape = volume.shape
-    a_in = int(math.floor(scale / 2.0))
-    a_out = int(math.floor(scale))
-
-    def sums(table, reach):
-        lo = np.clip(pts - reach, 0, None)
-        hi = np.minimum(pts + reach + 1, np.asarray(shape))
-        count = np.prod(hi - lo, axis=1)
-        total = _window_sum(table, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1], lo[:, 2], hi[:, 2])
-        return count, total
-
-    n_in, (s_in, q_in) = sums(tables, a_in)
-    n_out, s_out = sums(tables[0], a_out)
-    mean_in = s_in / n_in
-    out[:, 0] = mean_in
-    out[:, 1] = _lattice_max(volume.voxels, axes, a_in).ravel()
-    out[:, 2] = np.sqrt(np.maximum(q_in / n_in - mean_in * mean_in, 0.0))
-    n_shell = n_out - n_in
-    shell_mean = np.where(n_shell > 0, (s_out - s_in) / np.maximum(n_shell, 1), mean_in)
-    out[:, 3] = mean_in - shell_mean
-    out[:, 4] = pts[:, 0] / shape[0]
-    out[:, 5] = pts[:, 1] / shape[1]
-    out[:, 6] = pts[:, 2] / shape[2]
-    out[:, 7] = math.log(scale)
-
-
 class AnchorGrid(NamedTuple):
     """The anchor boxes of one (volume, stride, scales). Anchor ``i`` is grid
     point ``i // n_scales`` at scale ``i % n_scales``; ``centers`` (A, 3) and
@@ -261,14 +243,16 @@ def _anchor_grid(volume: Volume, stride: int, scales) -> AnchorGrid:
     key = ("grid", stride, scales)
     grid = volume._cache.get(key)
     if grid is None:
+        centers, diameters = anchor_geometry(volume.lung_lo, volume.lung_hi, stride, scales)
         axes = _lung_axes(volume.lung_lo, volume.lung_hi, stride)
-        pts = anchor_points(volume, stride)
+        pts = centers[::len(scales)]
         tables = _tables(volume.voxels)
         feats = np.empty((len(scales), len(pts), N_FEATURES), dtype=np.float64)
         for j, scale in enumerate(scales):
-            _batch_features(volume, tables, axes, pts, scale, feats[j])
-        grid = AnchorGrid(*anchor_geometry(volume.lung_lo, volume.lung_hi, stride, scales),
-                          feats)
+            reach = int(math.floor(scale / 2.0))  # inner half-side about an integer centre
+            feats[j] = _window_stats(tables, volume.shape, pts, scale)[0]
+            feats[j, :, 1] = _lattice_max(volume.voxels, axes, reach).ravel()
+        grid = AnchorGrid(centers, diameters, feats)
         volume._cache[key] = grid
     return grid
 
@@ -365,8 +349,7 @@ def box_examples(volume: Volume, positives, negatives, scales) -> Examples:
     boxes = positives + negatives
     if not boxes:
         raise ValueError("need at least one positive or negative box")
-    tables = _tables(volume.voxels)
-    feats = np.array([_box_features(volume, tables, b) for b in boxes])
+    feats = _box_rows(volume, boxes)
     scale_ids = np.array([_scale_index(scales, b.diameter) for b in boxes], dtype=np.int64)
     return _examples(feats, scale_ids, [len(positives), len(negatives)])
 
@@ -407,25 +390,19 @@ def sgd_step(params: DetectorParams, gradient, learning_rate: float) -> Detector
 
 def _anchor_labels(volume: Volume, truths, stride: int, scales):
     # (positive ids truth by truth, each once; ascending ids whose grid point
-    # is outside every truth radius), as supervised_examples describes;
-    # geometry only, so cached per volume
-    key = ("labels", stride, scales, tuple((t.x, t.y, t.z, t.diameter) for t in truths))
-    labels = volume._cache.get(key)
-    if labels is None:
-        pts = anchor_points(volume, stride)
-        positives: dict[int, None] = {}
-        outside = np.ones(len(pts), dtype=bool)
-        for t in truths:
-            d2 = ((pts - np.asarray(t.center)) ** 2).sum(axis=1)
-            inside = d2 <= t.radius ** 2
-            outside &= ~inside
-            idx = np.flatnonzero(inside) if inside.any() else [np.argmin(d2)]
-            j = _scale_index(scales, t.diameter)
-            positives.update(dict.fromkeys(int(i) * len(scales) + j for i in idx))
-        labels = (np.fromiter(positives, dtype=np.int64, count=len(positives)),
-                  np.flatnonzero(np.repeat(outside, len(scales))))
-        volume._cache[key] = labels
-    return labels
+    # is outside every truth radius), as supervised_examples describes
+    pts = anchor_points(volume, stride)
+    positives: dict[int, None] = {}
+    outside = np.ones(len(pts), dtype=bool)
+    for t in truths:
+        d2 = ((pts - np.asarray(t.center)) ** 2).sum(axis=1)
+        inside = d2 <= t.radius ** 2
+        outside &= ~inside
+        idx = np.flatnonzero(inside) if inside.any() else [np.argmin(d2)]
+        j = _scale_index(scales, t.diameter)
+        positives.update(dict.fromkeys(int(i) * len(scales) + j for i in idx))
+    return (np.fromiter(positives, dtype=np.int64, count=len(positives)),
+            np.flatnonzero(np.repeat(outside, len(scales))))
 
 
 class AnchorStack(NamedTuple):

@@ -29,7 +29,7 @@ from .detector import (DetectorParams, Proposal, _anchor_examples,  # noqa: F401
                        grid_logits, init_detector, log_sigmoid, propose, sgd_step, sigmoid,
                        stack_anchors, stacked_examples, supervised_examples, supervised_loss)
 from .froc import Detection, FrocResult
-from .synthvol import LabeledScan, NoduleBox, Volume, WeakLabel, lobe_of
+from .synthvol import LabeledScan, NoduleBox, Volume, WeakLabel, lobe_of, require_ints
 from .weaklik import (DEFAULT_MU, DEFAULT_SIGMA_FLOOR, HalfGaussianParams, LobeParams,
                       fit_sigma, init_lobe_params, lobe_batch, lobe_fit_step,
                       lobe_rows_objective, weak_log_likelihood)
@@ -77,6 +77,10 @@ class EmConfig:
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
 
     def validate(self) -> None:
+        for name in ("samples_per_label", "stride", "init_epochs", "epochs"):
+            require_ints(name, getattr(self, name))
+        if not math.isfinite(self.logit_threshold):
+            raise ValueError("logit_threshold must be finite")
         if not 0.0 < self.nms_iou < 1.0:
             raise ValueError("nms_iou must lie strictly between 0 and 1")
         if self.samples_per_label < 1:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -139,6 +139,13 @@ class LabeledScan:
     weak: list[WeakLabel] = field(default_factory=list)
 
 
+def require_ints(name: str, *values) -> None:
+    """Raise ValueError unless every value of config field ``name`` is an int."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for synthetic scan generation.
@@ -166,7 +173,10 @@ class GeneratorConfig:
     max_place_tries: int = 200
 
     def validate(self) -> None:
-        dims = tuple(int(v) for v in self.dims)
+        dims = tuple(self.dims)
+        require_ints("dims", *dims)
+        for name in ("lung_margin", "count_min", "count_max", "max_place_tries"):
+            require_ints(name, getattr(self, name))
         if len(dims) != 3 or min(dims) < 8:
             raise ValueError("dims must be three sizes of at least 8")
         if self.lung_margin < 0 or any(d - 2 * self.lung_margin < 4 for d in dims):
@@ -364,47 +374,52 @@ def load_dataset(path) -> list[LabeledScan]:
     Raises DatasetHeaderError for short or inconsistent headers,
     DatasetVersionError for unknown magic bytes, and DatasetPayloadError
     for truncated voxel blocks, malformed label lines, or truth boxes
-    centered outside the lung region.
+    centered outside the lung region. Reads one voxel block at a time.
     """
-    data = Path(path).read_bytes()
-    if len(data) < len(MAGIC):
-        raise DatasetHeaderError("file too short to hold the magic string")
-    if data[:len(MAGIC)] != MAGIC:
-        raise DatasetVersionError(f"unknown container version {data[:len(MAGIC)]!r}")
-    if len(data) < len(MAGIC) + _FIXED_HEADER.size:
-        raise DatasetHeaderError("truncated fixed header")
-    fields = _FIXED_HEADER.unpack_from(data, len(MAGIC))
-    shape, lo, hi, n = fields[0:3], fields[3:6], fields[6:9], fields[9]
-    if min(shape) < 1 or n < 0:
-        raise DatasetHeaderError("header declares an impossible geometry or scan count")
-    header_len = len(MAGIC) + _FIXED_HEADER.size + 4 * n
-    if len(data) < header_len:
-        raise DatasetHeaderError("truncated scan offset table")
-    offsets = struct.unpack_from(f"<{n}i", data, len(MAGIC) + _FIXED_HEADER.size)
-    block = shape[0] * shape[1] * shape[2] * 4
-    expected = tuple(header_len + i * block for i in range(n))
-    if offsets != expected:
-        raise DatasetHeaderError("inconsistent scan offsets")
-    payload_end = header_len + n * block
-    if len(data) < payload_end:
-        raise DatasetPayloadError("voxel payload is truncated")
-    lines = data[payload_end:].decode("utf-8", errors="replace").splitlines()
-    if len(lines) != n:
-        raise DatasetPayloadError(f"label section has {len(lines)} lines for {n} scans")
-    scans = []
-    for i in range(n):
-        flat = np.frombuffer(data, dtype="<f4", count=block // 4, offset=offsets[i])
-        try:
-            volume = Volume(flat.reshape(shape, order="F"), lo, hi)
-            labels = json.loads(lines[i])
-            truth = [NoduleBox(b["x"], b["y"], b["z"], b["d"]) for b in labels["truth"]]
-            weak = [WeakLabel(w["lobe"], w["z"]) for w in labels["weak"]]
-            for t in truth:
-                lobe_of(t.center, volume)  # raises for a center outside the lung region
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DatasetPayloadError(f"scan {i} is malformed: {exc}") from exc
-        for w in weak:
-            if w.z >= shape[2]:
-                raise DatasetPayloadError(f"scan {i} weak label slice {w.z} out of range")
-        scans.append(LabeledScan(volume, truth, weak))
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(len(MAGIC))
+        if len(magic) < len(MAGIC):
+            raise DatasetHeaderError("file too short to hold the magic string")
+        if magic != MAGIC:
+            raise DatasetVersionError(f"unknown container version {magic!r}")
+        if size < len(MAGIC) + _FIXED_HEADER.size:
+            raise DatasetHeaderError("truncated fixed header")
+        fields = _FIXED_HEADER.unpack(fh.read(_FIXED_HEADER.size))
+        shape, lo, hi, n = fields[0:3], fields[3:6], fields[6:9], fields[9]
+        if min(shape) < 1 or n < 0:
+            raise DatasetHeaderError("header declares an impossible geometry or scan count")
+        header_len = len(MAGIC) + _FIXED_HEADER.size + 4 * n
+        if size < header_len:
+            raise DatasetHeaderError("truncated scan offset table")
+        offsets = struct.unpack(f"<{n}i", fh.read(4 * n))
+        block = shape[0] * shape[1] * shape[2] * 4
+        expected = tuple(header_len + i * block for i in range(n))
+        if offsets != expected:
+            raise DatasetHeaderError("inconsistent scan offsets")
+        payload_end = header_len + n * block
+        if size < payload_end:
+            raise DatasetPayloadError("voxel payload is truncated")
+        # labels first, so their line count is checked before any block is read
+        fh.seek(payload_end)
+        lines = fh.read().decode("utf-8", errors="replace").splitlines()
+        if len(lines) != n:
+            raise DatasetPayloadError(f"label section has {len(lines)} lines for {n} scans")
+        scans = []
+        for i in range(n):
+            fh.seek(offsets[i])
+            flat = np.frombuffer(fh.read(block), dtype="<f4")
+            try:
+                volume = Volume(flat.reshape(shape, order="F"), lo, hi)
+                labels = json.loads(lines[i])
+                truth = [NoduleBox(b["x"], b["y"], b["z"], b["d"]) for b in labels["truth"]]
+                weak = [WeakLabel(w["lobe"], w["z"]) for w in labels["weak"]]
+                for t in truth:
+                    lobe_of(t.center, volume)  # raises for a center outside the lung region
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DatasetPayloadError(f"scan {i} is malformed: {exc}") from exc
+            for w in weak:
+                if w.z >= shape[2]:
+                    raise DatasetPayloadError(f"scan {i} weak label slice {w.z} out of range")
+            scans.append(LabeledScan(volume, truth, weak))
     return scans

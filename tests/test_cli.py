@@ -346,6 +346,25 @@ class TestConfigHandling:
         assert main(["generate", "--config", cfg,
                      "--out", str(tmp_path / "r")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("payload", [
+        {"em": {"epochs": 2.5}},
+        {"em": {"stride": 2.5}},
+        {"em": {"nms_iou": "0.1"}},
+        {"em": {"logit_threshold": "-3"}},
+        {"generator": {"noise": "x"}},
+        {"n_ful": 3},
+        {"out_dir": 5},
+    ], ids=["float-epochs", "float-stride", "string-nms-iou", "string-threshold", "string-noise",
+            "unknown-key", "int-out-dir"])
+    def test_wrong_typed_or_unknown_value_is_a_config_error(self, tmp_path, capsys, command,
+                                                            payload):
+        cfg = write_config(tmp_path / "exp.json", {**SMOKE, **payload})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
 
 class TestImports:
     def test_train_and_eval_never_load_scipy(self, tmp_path):

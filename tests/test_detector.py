@@ -78,6 +78,63 @@ class TestExtractFeatures:
         assert feats[7] == pytest.approx(math.log(5.0), rel=1e-12)
 
 
+def mask_features(volume, box):
+    # the descriptor from boolean masks of voxel centres, without
+    # summed-volume tables or bounds arithmetic; None when the cube holds
+    # no voxel centre
+    vox = volume.voxels.astype(np.float64)
+    grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in vox.shape), indexing="ij")
+
+    def cube(half):
+        return np.logical_and.reduce([(g >= c - half) & (g <= c + half)
+                                      for g, c in zip(grids, box.center)])
+
+    inner, outer = cube(box.radius), cube(box.diameter)
+    if not inner.any():
+        return None
+    shell = outer & ~inner
+    mean = vox[inner].mean()
+    contrast = mean - vox[shell].mean() if shell.any() else 0.0
+    return np.array([mean, vox[inner].max(), vox[inner].std(), contrast,
+                     box.x / vox.shape[0], box.y / vox.shape[1], box.z / vox.shape[2],
+                     math.log(box.diameter)])
+
+
+class TestFeatureOracle:
+    def test_extract_features_equals_the_mask_reference(self):
+        rng = np.random.default_rng(50)
+        cases = 0
+        for shape in ((24, 24, 24), (13, 9, 21), (9, 17, 10)):
+            vol = Volume(rng.random(shape).astype(np.float32), (1, 1, 1),
+                         tuple(n - 1 for n in shape))
+            # a window sum is a difference of summed-volume table entries, so
+            # its error is absolute: a few ulps of the largest entry, at most
+            # the sum of all v (v in [0, 1]). The std is the root of
+            # E[v^2] - mean^2, so it is compared squared: the root turns an
+            # error of 1e-13 into one of 3e-7 where the variance is 0
+            tol = 16 * np.finfo(np.float64).eps * float(vol.voxels.sum(dtype=np.float64))
+            boxes = [NoduleBox(*(float(rng.uniform(-d / 2, n - 1 + d / 2)) for n in shape), d)
+                     for d in rng.uniform(0.6, 14.0, size=60)]
+            boxes += [NoduleBox(0.3, 4.6, 5.2, 7.3),  # inner cube clipped at the x edge
+                      NoduleBox(shape[0] - 1.2, 4.4, 3.9, 3.1),  # shell leaves the grid
+                      NoduleBox(4.3, 4.7, 4.1, 0.9),  # one voxel centre
+                      NoduleBox(4.5, 4.5, 4.5, 0.9),  # no voxel centre
+                      NoduleBox(*(n / 2 for n in shape), 60.0)]  # the whole grid, no shell
+            for box in boxes:
+                want = mask_features(vol, box)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        extract_features(vol, box)
+                    continue
+                got = extract_features(vol, box)
+                cases += 1
+                assert got[0] == pytest.approx(want[0], rel=1e-12)
+                assert got[2] ** 2 == pytest.approx(want[2] ** 2, rel=1e-12, abs=tol)
+                assert got[3] == pytest.approx(want[3], rel=1e-12, abs=tol)
+                assert got[[1, 4, 5, 6, 7]].tolist() == want[[1, 4, 5, 6, 7]].tolist()
+        assert cases > 150
+
+
 class TestPropose:
     def test_count_is_grid_points_times_scales(self):
         vol = uniform_volume()

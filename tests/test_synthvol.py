@@ -1,6 +1,7 @@
 """Generator, lobe partition, weak labels, and dataset container tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,23 @@ class TestDatasetContainer:
         path.write_bytes(raw[:cut])
         with pytest.raises(DatasetPayloadError):
             load_dataset(path)
+
+    def test_load_holds_one_voxel_block_at_a_time(self, tmp_path):
+        # the decoded volumes plus a few blocks in flight; holding the whole
+        # file while decoding it would double the voxel bytes
+        scans = [LabeledScan(flat_volume((24, 24, 24), value=0.1 * k), [], []) for k in range(10)]
+        path = tmp_path / "data.wem"
+        save_dataset(scans, path)
+        block = 24 ** 3 * 4
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [s.volume.voxels[0, 0, 0] for s in loaded] == [s.volume.voxels[0, 0, 0]
+                                                               for s in scans]
+        assert peak < len(scans) * block + 4 * block
 
     def test_truth_center_on_the_lung_edge_loads(self, tmp_path):
         scan = generate_scan(0, GeneratorConfig())
