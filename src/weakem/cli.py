@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise ConfigError("out_dir must be a string")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(*self.seeds, self.data_seed) < 0:
+            raise ConfigError("seeds and data_seed must be nonnegative")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if min(self.n_full, self.n_weak, self.n_valid) < 0:
@@ -118,13 +120,15 @@ def load_experiment(path) -> ExperimentConfig:
 
 
 def _apply_overrides(exp: ExperimentConfig, args) -> ExperimentConfig:
-    # argparse types and choices make every override valid
+    # argparse types and choices make --mode and --out valid; a --seed can
+    # still be negative, so the result is validated again
     if getattr(args, "seed", None):
         exp = replace(exp, seeds=tuple(args.seed))
     if getattr(args, "mode", None):
         exp = replace(exp, mode=args.mode)
     if getattr(args, "out", None):
         exp = replace(exp, out_dir=args.out)
+    exp.validate()
     return exp
 
 
@@ -139,14 +143,15 @@ def cmd_generate(exp: ExperimentConfig) -> None:
     training splits both carry weak labels (the first so slice noise can be
     estimated from observed pairs); validation carries truth only.
     """
-    out = Path(exp.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     plan = (("train_full", 0, exp.n_full, True),
             ("train_weak", 1, exp.n_weak, True),
             ("valid", 2, exp.n_valid, False))
-    for name, split_id, count, weak in plan:
+    for name, _, count, _ in plan:
         if count == 0:
             raise ConfigError(f"empty split: {name}")
+    out = Path(exp.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, split_id, count, weak in plan:
         scans = []
         for i in range(count):
             seed = int(_scan_seed(exp.data_seed, split_id, i).generate_state(1)[0])
@@ -184,14 +189,22 @@ def metrics_path(out: Path, mode: str, seed: int) -> Path:
     return out / f"metrics_{mode}_seed{seed}.csv"
 
 
+def _load_scored_split(path) -> list:
+    # a dataset that FROC scores, so it must hold at least one truth box
+    scans = load_dataset(path)
+    if not any(scan.truth for scan in scans):
+        raise DatasetError(f"{path}: no truth boxes to score detections against")
+    return scans
+
+
 def cmd_train(exp: ExperimentConfig) -> None:
     """Train one run per seed in the configured mode; write a checkpoint and
     a per-epoch metrics CSV for each."""
     out = Path(exp.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    d_val = _load_scored_split(out / SPLIT_FILES["valid"])
     d_full = load_dataset(out / SPLIT_FILES["train_full"])
     d_weak = load_dataset(out / SPLIT_FILES["train_weak"])
-    d_val = load_dataset(out / SPLIT_FILES["valid"])
     cfg = _mode_config(exp)
     if exp.mode == "baseline":
         d_weak = []
@@ -208,7 +221,7 @@ def cmd_eval(checkpoint, dataset, out_dir=None) -> None:
     """Evaluate a checkpoint on a dataset; print the seven operating points
     and write the FROC curve CSV."""
     params, cfg, _ = load_checkpoint(checkpoint)
-    scans = load_dataset(dataset)
+    scans = _load_scored_split(dataset)
     result = evaluate_froc(scans, params, cfg)
     for rate, sens in zip(result.fp_rates, result.sensitivities):
         print(f"sensitivity at {rate:g} fp/scan: {100.0 * sens:.2f}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from . import froc as froc_mod
 # _supervised_pass) but stay importable as em.propose and em.supervised_examples;
 # supervised_loss is called by q_value only
 from .detector import (DetectorParams, Proposal, _anchor_examples,  # noqa: F401
-                       _anchor_grid, anchor_geometry, box_examples, examples_loss,
+                       _anchor_grid, _lung_axes, anchor_geometry, box_examples, examples_loss,
                        grid_logits, init_detector, log_sigmoid, propose, sgd_step, sigmoid,
                        stack_anchors, stacked_examples, supervised_examples, supervised_loss)
 from .froc import Detection, FrocResult
@@ -216,14 +217,14 @@ def _sweep_pairs(edges):
         yield order[a[near]], order[b[near]]
 
 
-def _box_conflicts(centers: np.ndarray, diameters: np.ndarray, nms_iou: float):
-    # CSR conflict lists (offsets, neighbours), both int32, of boxes
-    # (centers, diameters): neighbours[offsets[i]:offsets[i + 1]] are the
-    # boxes whose IoU with box i exceeds nms_iou. Each candidate pair is
-    # tested once and listed in both directions.
-    edges, cubes = _box_arrays(centers, diameters)
+def _conflict_lists(edges, cubes, pairs, nms_iou: float):
+    # CSR conflict lists (offsets, neighbours), both int32, of boxes with
+    # _box_arrays output (edges, cubes), from candidate pairs given in
+    # batches (a, b): neighbours[offsets[i]:offsets[i + 1]] are the boxes
+    # whose IoU with box i exceeds nms_iou. Each candidate pair must come
+    # once; it is tested once and listed in both directions.
     src, dst = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for a, b in _sweep_pairs(edges):
+    for a, b in pairs:
         hit = _conflict_matrix(edges, cubes, a, b, nms_iou)
         src += [a[hit], b[hit]]
         dst += [b[hit], a[hit]]
@@ -235,12 +236,52 @@ def _box_conflicts(centers: np.ndarray, diameters: np.ndarray, nms_iou: float):
     return offsets, neighbours
 
 
+def _box_conflicts(centers: np.ndarray, diameters: np.ndarray, nms_iou: float):
+    # conflict lists of arbitrary boxes (centers, diameters), from the sweep
+    edges, cubes = _box_arrays(centers, diameters)
+    return _conflict_lists(edges, cubes, _sweep_pairs(edges), nms_iou)
+
+
+# lattice point pairs _lattice_pairs expands per batch; bounds its temporaries
+_LATTICE_CHUNK = 1 << 14
+
+
+def _lattice_pairs(lung_lo, lung_hi, stride: int, scales):
+    # candidate pairs of anchor_geometry's anchors, each unordered pair once:
+    # two cubes on a product lattice overlap exactly when they overlap on
+    # every axis, so per scale pair s <= t the overlapping anchor pairs are
+    # the product of three 1-D lists of lattice coordinate pairs whose
+    # intervals, _box_arrays' edges, overlap. Same-scale pairs keep a < b.
+    # Ids follow anchor_geometry's layout: lattice point (ix, iy, iz) is
+    # anchor_points row (ix ny + iy) nz + iz. The product is expanded over
+    # about _LATTICE_CHUNK point pairs at a time, whole x pairs per batch.
+    axes = [ax.astype(np.float64) for ax in _lung_axes(lung_lo, lung_hi, stride)]
+    _, ny, nz = (len(ax) for ax in axes)
+    n_scales = len(scales)
+    for s, t in itertools.combinations_with_replacement(range(n_scales), 2):
+        rs, rt = scales[s] / 2.0, scales[t] / 2.0
+        (xi, xj), (yi, yj), (zi, zj) = (
+            np.nonzero((ax[:, None] - rs < ax + rt) & (ax - rt < ax[:, None] + rs))
+            for ax in axes)
+        yz_a, yz_b = ((y[:, None] * nz + z).ravel() for y, z in ((yi, zi), (yj, zj)))
+        step = max(1, _LATTICE_CHUNK // len(yz_a))
+        for start in range(0, len(xi), step):
+            p = (xi[start:start + step, None] * (ny * nz) + yz_a).ravel()
+            q = (xj[start:start + step, None] * (ny * nz) + yz_b).ravel()
+            if s == t:
+                keep = p < q
+                p, q = p[keep], q[keep]
+            yield p * n_scales + s, q * n_scales + t
+
+
 @functools.lru_cache(maxsize=4)
 def _grid_conflicts(lung_lo, lung_hi, stride: int, scales, nms_iou: float):
-    # conflict lists of the anchor grid over a lung box: they depend on the
-    # geometry only, so every volume with the same lung box shares one copy,
-    # O(anchors x neighbours) in size
-    return _box_conflicts(*anchor_geometry(lung_lo, lung_hi, stride, scales), nms_iou)
+    # conflict lists of the anchor grid over a lung box, from its lattice:
+    # they depend on the geometry only, so every volume with the same lung
+    # box shares one copy, O(anchors x neighbours) in size
+    edges, cubes = _box_arrays(*anchor_geometry(lung_lo, lung_hi, stride, scales))
+    return _conflict_lists(edges, cubes, _lattice_pairs(lung_lo, lung_hi, stride, scales),
+                           nms_iou)
 
 
 def _greedy_nms(logits: np.ndarray, ids: np.ndarray, graph, logit_threshold: float) -> np.ndarray:

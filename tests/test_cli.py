@@ -14,7 +14,7 @@ from weakem.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, SPLIT_FIL
                         main)
 from weakem.detector import DetectorParams, N_FEATURES
 from weakem.em import EmConfig, ModelParams, NumericError, read_metrics_csv, save_checkpoint
-from weakem.synthvol import load_dataset, save_dataset
+from weakem.synthvol import LabeledScan, load_dataset, save_dataset
 from weakem.weaklik import HalfGaussianParams, init_lobe_params
 
 SMOKE = {
@@ -86,7 +86,9 @@ class TestGenerate:
         cfg = write_config(tmp_path / "exp.json", {**SMOKE, "n_weak": 0})
         code = main(["generate", "--config", cfg, "--out", str(tmp_path / "r")])
         assert code == EXIT_CONFIG
-        assert "empty split" in capsys.readouterr().err
+        assert "empty split: train_weak" in capsys.readouterr().err
+        # every split count is checked before any split is written
+        assert not list((tmp_path / "r").glob("*.wem"))
 
     def test_split_too_large_for_the_container_is_a_config_error(self, tmp_path, capsys):
         from pathlib import Path
@@ -217,6 +219,21 @@ class TestTrain:
         assert not list(Path(out).glob("checkpoint_*"))
 
 
+    def test_validation_split_without_truth_is_a_data_error(self, tmp_path, capsys):
+        # the generator accepts scans with no nodules; FROC cannot score them
+        cfg = write_config(tmp_path / "exp.json",
+                           {**SMOKE, "generator": {"count_min": 0, "count_max": 0}})
+        out = tmp_path / "out"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", "--config", cfg, "--mode", "baseline",
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "Traceback" not in err
+        assert SPLIT_FILES["valid"] in err and "no truth boxes" in err
+        assert not list(out.glob("checkpoint_*"))
+
+
 class TestEval:
     def test_report_and_curve_csv(self, smoke_run, capsys, tmp_path):
         from pathlib import Path
@@ -286,6 +303,17 @@ class TestEval:
             bad.write_text(json.dumps(payload))
             assert main(["eval", str(bad), data, "--out", str(tmp_path)]) == EXIT_DATA
             assert "data error" in capsys.readouterr().err
+
+    def test_dataset_without_truth_is_a_data_error(self, smoke_run, tmp_path, capsys):
+        _, out = smoke_run
+        ckpt = str(Path(out) / "checkpoint_baseline_seed0.json")
+        blank = tmp_path / "blank.wem"
+        save_dataset([LabeledScan(s.volume, [], [])
+                      for s in load_dataset(Path(out) / SPLIT_FILES["valid"])], blank)
+        assert main(["eval", ckpt, str(blank), "--out", str(tmp_path)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "blank.wem" in err and "no truth boxes" in err
+        assert not list(tmp_path.glob("*_froc.csv"))
 
     def test_truncated_dataset_is_a_data_error(self, smoke_run, tmp_path, capsys):
         from pathlib import Path
@@ -364,6 +392,25 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+
+    @pytest.mark.parametrize("command, payload, extra", [
+        ("train", {}, ["--seed", "-1"]),
+        ("train", {}, ["--seed", "0", "--seed", "-3"]),
+        ("train", {"seeds": [-1]}, []),
+        ("train", {"data_seed": -1}, []),
+        ("generate", {"seeds": [-1]}, []),
+        ("generate", {"data_seed": -1}, []),
+    ], ids=["train-seed-flag", "train-second-seed-flag", "train-config-seeds",
+            "train-data-seed", "generate-config-seeds", "generate-data-seed"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, payload, extra):
+        cfg = write_config(tmp_path / "exp.json", {**SMOKE, **payload})
+        out = tmp_path / "r"
+        assert main([command, "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "nonnegative" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestImports:

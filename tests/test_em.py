@@ -2,15 +2,18 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from weakem import em
-from weakem.detector import (DetectorParams, N_FEATURES, Proposal, _anchor_grid, anchor_loss,
-                             init_detector, propose, sigmoid, supervised_examples)
+from weakem.detector import (DetectorParams, N_FEATURES, Proposal, _anchor_grid,
+                             anchor_geometry, anchor_loss, init_detector, propose, sigmoid,
+                             supervised_examples)
 from weakem.em import (EmConfig, ModelParams, NoProposalsError, NumericError, Posterior,
-                       _box_arrays, _grid_conflicts, _scan_kept, _supervised_pass,
+                       _box_arrays, _box_conflicts, _grid_conflicts, _scan_kept,
+                       _supervised_pass,
                        _sweep_pairs, _weak_batch_m_step, evaluate_froc,
                        filter_proposals, hard_negatives, infer_map, infer_sampling,
                        initialize_params, iou_3d, load_checkpoint, posterior, q_value,
@@ -221,6 +224,23 @@ GRID_CASES = [
     ((2, 3, 1), (21, 18, 22), 4, (5.3, 7.7, 11.0)),
 ]
 NMS_IOUS = (0.05, 0.1, 0.5)
+# the benchmark's 64^3 anchor grid (lung margin 2, stride 4, scales 5 and 8)
+BENCH_64 = ((2, 2, 2), (62, 62, 62), 4, (5.0, 8.0))
+# lattice geometries: the benchmark's, every small grid, one scale, a lung
+# box narrower than the stride (one point), and stride 1 under scale 11
+LATTICE_CASES = [
+    BENCH_64,
+    *GRID_CASES,
+    ((2, 2, 2), (30, 30, 30), 4, (8.0,)),
+    ((5, 6, 7), (8, 9, 10), 4, (5.0, 8.0)),
+    ((1, 2, 3), (13, 12, 11), 1, (11.0,)),
+]
+
+
+def sorted_rows(graph):
+    offsets, neighbours = graph
+    return [sorted(neighbours[offsets[i]:offsets[i + 1]].tolist())
+            for i in range(len(offsets) - 1)]
 
 
 def grid_volume(lung_lo, lung_hi, seed=0):
@@ -267,6 +287,45 @@ class TestConflictGraph:
                 assert logits.tolist() == [p.logit for p in proposals]
                 kept.append(len(want))
         assert max(kept) > 1
+
+    @pytest.mark.parametrize("lung_lo, lung_hi, stride, scales", LATTICE_CASES)
+    def test_lattice_lists_equal_the_sweep_lists(self, monkeypatch, lung_lo, lung_hi, stride,
+                                                  scales):
+        geometry = anchor_geometry(lung_lo, lung_hi, stride, scales)
+        want = [sorted_rows(_box_conflicts(*geometry, nms_iou)) for nms_iou in NMS_IOUS]
+        assert any(any(rows) for rows in want)
+
+        def no_sweep(edges):
+            raise AssertionError("the anchor grid's lists come from its lattice")
+
+        monkeypatch.setattr(em, "_sweep_pairs", no_sweep)
+        _grid_conflicts.cache_clear()
+        for nms_iou, rows in zip(NMS_IOUS, want):
+            offsets, neighbours = _grid_conflicts(lung_lo, lung_hi, stride, scales, nms_iou)
+            assert offsets.dtype == neighbours.dtype == np.int32
+            assert sorted_rows((offsets, neighbours)) == rows
+
+    def test_lattice_lists_are_the_same_at_any_chunk_size(self, monkeypatch):
+        _grid_conflicts.cache_clear()
+        want = sorted_rows(_grid_conflicts(*BENCH_64, 0.1))
+        for chunk in (1, 7):
+            monkeypatch.setattr(em, "_LATTICE_CHUNK", chunk)
+            _grid_conflicts.cache_clear()
+            assert sorted_rows(_grid_conflicts(*BENCH_64, 0.1)) == want
+
+    def test_lattice_build_memory_stays_near_its_output_at_64(self):
+        # the temporaries of the chunked product stay within a few times the
+        # lists themselves, not the whole product of the per-axis pairs
+        anchor_geometry(*BENCH_64)
+        _grid_conflicts.cache_clear()
+        tracemalloc.start()
+        try:
+            offsets, neighbours = _grid_conflicts(*BENCH_64, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(neighbours) > 100_000
+        assert peak < 12 * (offsets.nbytes + neighbours.nbytes)
 
     def test_one_build_per_geometry_and_a_bounded_cache(self):
         cfg = EmConfig()
